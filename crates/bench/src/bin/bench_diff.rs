@@ -23,13 +23,16 @@
 //! leaf, like the
 //! cache's `warm_vs_cold_improvement` or the CEC bench's
 //! `portfolio_improvement` — are machine-independent and compared
-//! absolutely: a drop of more than `threshold` (as a fraction) fails.
+//! absolutely: a drop of more than `threshold` (as a fraction) fails,
+//! and so does a baseline `*_improvement` leaf the candidate no longer
+//! writes — retiring a gate leaf takes a reviewed edit of the baseline.
 //!
 //! The same gate understands every bench file the suite writes
-//! (`BENCH_pipeline.json`, `BENCH_cec.json`): both are the JSON subset
-//! parsed here, and the rules are keyed on leaf-name conventions, not
-//! schemas.
+//! (`BENCH_pipeline.json`, `BENCH_cec.json`, `BENCH_store.json`): each
+//! is a tree of objects with numeric and string leaves, and the rules
+//! are keyed on leaf-name conventions, not schemas.
 
+use alice_obs::Json;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -46,105 +49,43 @@ const NOISE_FLOOR_MS: f64 = 2.0;
 /// evidence of a code regression.
 const RELIABLE_MS: f64 = 50.0;
 
-/// Extracts every numeric leaf of a JSON-subset document (objects,
-/// numbers, strings; exactly what `pipeline_bench` writes) as a dotted
-/// path → value map. Not a general JSON parser — unknown constructs are
-/// an error so a malformed file cannot silently pass the gate.
+/// Extracts every numeric leaf of a bench file as a dotted path → value
+/// map. Bench files are trees of objects whose leaves are numbers or
+/// string labels (ignored); arrays, booleans and null are errors, so a
+/// malformed file cannot silently pass the gate.
 fn numeric_leaves(src: &str) -> Result<BTreeMap<String, f64>, String> {
+    let doc = Json::parse(src)?;
+    let Json::Obj(fields) = doc else {
+        return Err("the document must be a JSON object".to_string());
+    };
     let mut out = BTreeMap::new();
-    let bytes: Vec<char> = src.chars().collect();
-    let mut pos = 0usize;
-    parse_object(&bytes, &mut pos, "", &mut out)?;
-    skip_ws(&bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at offset {pos}"));
-    }
+    collect_leaves(&fields, "", &mut out)?;
     Ok(out)
 }
 
-fn skip_ws(b: &[char], pos: &mut usize) {
-    while *pos < b.len() && b[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[char], pos: &mut usize, c: char) -> Result<(), String> {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{c}` at offset {pos}", pos = *pos))
-    }
-}
-
-fn parse_string(b: &[char], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, '"')?;
-    let mut s = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            '"' => return Ok(s),
-            '\\' => return Err("escapes are not used in bench files".to_string()),
-            _ => s.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_object(
-    b: &[char],
-    pos: &mut usize,
+fn collect_leaves(
+    fields: &[(String, Json)],
     prefix: &str,
     out: &mut BTreeMap<String, f64>,
 ) -> Result<(), String> {
-    expect(b, pos, '{')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        let key = parse_string(b, pos)?;
+    for (key, value) in fields {
         let path = if prefix.is_empty() {
-            key
+            key.clone()
         } else {
             format!("{prefix}.{key}")
         };
-        expect(b, pos, ':')?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some('{') => parse_object(b, pos, &path, out)?,
-            Some('"') => {
-                parse_string(b, pos)?; // schema/matrix labels: ignored
+        match value {
+            Json::Obj(inner) => collect_leaves(inner, &path, out)?,
+            Json::Num(v) => {
+                out.insert(path, *v);
             }
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                let start = *pos;
-                while b
-                    .get(*pos)
-                    .is_some_and(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-                {
-                    *pos += 1;
-                }
-                let text: String = b[start..*pos].iter().collect();
-                let v: f64 = text.parse().map_err(|_| format!("bad number `{text}`"))?;
-                out.insert(path, v);
+            Json::Str(_) => {} // schema/matrix labels
+            Json::Arr(_) | Json::Bool(_) | Json::Null => {
+                return Err(format!("`{path}`: unexpected {value} in a bench file"));
             }
-            other => return Err(format!("unexpected value start {other:?}")),
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(',') => {
-                *pos += 1;
-                skip_ws(b, pos);
-            }
-            Some('}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            other => return Err(format!("expected `,` or `}}`, got {other:?}")),
         }
     }
+    Ok(())
 }
 
 fn load(path: &str) -> Result<BTreeMap<String, f64>, String> {
@@ -196,15 +137,20 @@ fn run(baseline_path: &str, candidate_path: &str, threshold: f64) -> Result<(), 
     }
 
     // Effectiveness fractions (`*_improvement`) are machine-independent
-    // and compared absolutely, whatever bench file they come from.
+    // and compared absolutely, whatever bench file they come from. A
+    // leaf the candidate stopped writing fails: dropping a gate leaf
+    // must be a visible edit of the baseline, not silent drift.
     for (path, &b) in baseline.iter().filter(|(k, _)| k.ends_with("_improvement")) {
-        if let Some(&c) = candidate.get(path) {
-            println!("  {path:<40} {b:>10.4} -> {c:>10.4}");
-            if c < b - threshold {
-                regressions.push(format!(
-                    "{path}: improvement fell from {b:.4} to {c:.4} (allowed drop {threshold:.2})"
-                ));
-            }
+        let Some(&c) = candidate.get(path) else {
+            println!("  {path:<40} {b:>10.4} ->    missing");
+            regressions.push(format!("{path}: missing from the candidate"));
+            continue;
+        };
+        println!("  {path:<40} {b:>10.4} -> {c:>10.4}");
+        if c < b - threshold {
+            regressions.push(format!(
+                "{path}: improvement fell from {b:.4} to {c:.4} (allowed drop {threshold:.2})"
+            ));
         }
     }
 
@@ -291,6 +237,13 @@ mod tests {
         assert!(numeric_leaves("{} trailing").is_err());
     }
 
+    #[test]
+    fn booleans_and_null_are_errors() {
+        assert!(numeric_leaves("{ \"a\": { \"b\": true } }").is_err());
+        assert!(numeric_leaves("{ \"a\": null }").is_err());
+        assert!(numeric_leaves("3.5").is_err(), "the root must be an object");
+    }
+
     fn diff_files(tag: &str, base: &str, cand: &str, threshold: f64) -> Result<(), String> {
         let dir = std::env::temp_dir();
         let bp = dir.join(format!("bench-diff-base-{tag}-{}.json", std::process::id()));
@@ -341,6 +294,17 @@ mod tests {
         let cand = BASE.replace("0.95", "0.40");
         let err = diff_files("impr", BASE, &cand, 0.25).expect_err("must fail");
         assert!(err.contains("warm_vs_cold_improvement"), "{err}");
+    }
+
+    #[test]
+    fn missing_improvement_leaf_fails() {
+        let cand = BASE.replace(",\n    \"warm_vs_cold_improvement\": 0.95", "");
+        assert!(!cand.contains("warm_vs_cold_improvement"));
+        let err = diff_files("impr-missing", BASE, &cand, 0.25).expect_err("must fail");
+        assert!(
+            err.contains("select_stage.warm_vs_cold_improvement: missing"),
+            "{err}"
+        );
     }
 
     const STORE_OPEN: &str = r#"{

@@ -1,34 +1,26 @@
 //! `store_bench` — the artifact-store concurrency benchmark: measures
-//! what the sharded, mmap-backed store buys over the PR 7 layout and
-//! writes `BENCH_store.json` so `bench_diff` can gate the trajectory.
+//! what the sharded store buys over a single-segment layout and writes
+//! `BENCH_store.json` so `bench_diff` can gate the trajectory.
 //!
 //! ```text
 //! store_bench [--out BENCH_store.json] [--samples N] [--smoke]
 //! ```
 //!
-//! Sections:
-//!
-//! * `flush_merge` — N writer threads (each batching puts and flushing)
-//!   race M reader threads over one store, twice: once with every key
-//!   confined to a single shard (one lock, one file, whole-file
-//!   rewrites — exactly the v2 single-segment-per-kind behaviour) and
-//!   once with each writer owning its own pair of shards. The
-//!   single-segment run serializes every flush-merge behind one lock
-//!   and rewrites the whole accumulated segment each time; the sharded
-//!   run commits disjoint shards concurrently and rewrites only each
-//!   writer's own slice. `flush_merge_improvement` is the headline
-//!   contention number the CI gate holds.
-//! * `warm_get` — first-get latency over a prebuilt store, once through
-//!   the positioned-read + copy fallback (`StoreOptions { mmap: false }`,
-//!   the v2 read path) and once through the mapped zero-copy path, with
-//!   `ns_per_op` and `bytes_per_get` (from [`Store::read_stats`]) for
-//!   each. Both paths pay the one-time checksum verify; the mapped path
-//!   skips the syscall, the heap allocation, and the payload copy.
+//! `flush_merge` — N writer threads (each batching puts and flushing)
+//! race M reader threads over one store, twice: once with every key
+//! confined to a single shard (one lock, one file, whole-file rewrites —
+//! exactly the v2 single-segment-per-kind behaviour) and once with each
+//! writer owning its own pair of shards. The single-segment run
+//! serializes every flush-merge behind one lock and rewrites the whole
+//! accumulated segment each time; the sharded run commits disjoint
+//! shards concurrently and rewrites only each writer's own slice.
+//! `flush_merge_improvement` is the headline contention number the CI
+//! gate holds.
 //!
 //! `--smoke` shrinks everything to one sample and smaller batches for
 //! CI.
 
-use alice_store::{shard_of, Kind, Store, StoreOptions, SHARD_COUNT};
+use alice_store::{shard_of, Kind, Store, SHARD_COUNT};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -53,8 +45,6 @@ struct Scale {
     payload: usize,
     /// Pre-seeded records the readers cycle over.
     seed: usize,
-    /// Records in the warm-get store.
-    warm_records: usize,
 }
 
 const FULL: Scale = Scale {
@@ -62,7 +52,6 @@ const FULL: Scale = Scale {
     batch: 50,
     payload: 4096,
     seed: 256,
-    warm_records: 3000,
 };
 
 const SMOKE: Scale = Scale {
@@ -70,7 +59,6 @@ const SMOKE: Scale = Scale {
     batch: 12,
     payload: 1024,
     seed: 32,
-    warm_records: 200,
 };
 
 fn bench_dir(tag: &str) -> PathBuf {
@@ -184,29 +172,6 @@ fn flush_merge_race(sharded: bool, scale: &Scale) -> f64 {
     elapsed_ms
 }
 
-/// Times one full first-get pass (every record exactly once, fresh
-/// open) and returns `(total_ms, bytes_copied_per_get)`.
-fn warm_get_pass(dir: &PathBuf, mmap: bool, scale: &Scale) -> (f64, f64) {
-    let store = Store::open_with(dir, StoreOptions { mmap }).expect("open warm store");
-    let t = Instant::now();
-    for i in 0..scale.warm_records {
-        let p = store
-            .get(Kind::LutMap, seed_key(true, i))
-            .expect("warm record present");
-        // Touch the payload so a lazily faulted page cannot defer its
-        // cost past the timer.
-        std::hint::black_box(p[p.len() / 2]);
-    }
-    let total_ms = t.elapsed().as_secs_f64() * 1e3;
-    let rs = store.read_stats();
-    assert_eq!(rs.gets, scale.warm_records as u64);
-    let per_get = rs.bytes_copied as f64 / rs.gets as f64;
-    // The store must not rewrite anything on drop (read-only pass), but
-    // access stamps do flush; keep that out of the timed window.
-    drop(store);
-    (total_ms, per_get)
-}
-
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     v[v.len() / 2]
@@ -261,41 +226,6 @@ fn main() -> ExitCode {
         0.0
     };
 
-    // --- warm first-get: pread+copy vs mapped zero-copy ----------------
-    let warm_dir = bench_dir("warm");
-    {
-        let store = Store::open(&warm_dir).expect("open warm store");
-        for i in 0..scale.warm_records {
-            store.put(
-                Kind::LutMap,
-                seed_key(true, i),
-                vec![i as u8; scale.payload],
-            );
-        }
-        store.flush().expect("warm flush");
-    }
-    let mut pread_totals = Vec::new();
-    let mut mmap_totals = Vec::new();
-    let mut pread_bytes = 0.0;
-    let mut mmap_bytes = 0.0;
-    for _ in 0..samples {
-        let (t, b) = warm_get_pass(&warm_dir, false, scale);
-        pread_totals.push(t);
-        pread_bytes = b;
-        let (t, b) = warm_get_pass(&warm_dir, true, scale);
-        mmap_totals.push(t);
-        mmap_bytes = b;
-    }
-    let _ = std::fs::remove_dir_all(&warm_dir);
-    let pread_ms = median(pread_totals);
-    let mmap_ms = median(mmap_totals);
-    let ns_per = |total_ms: f64| total_ms * 1e6 / scale.warm_records as f64;
-    let get_improvement = if pread_ms > 0.0 {
-        (pread_ms - mmap_ms) / pread_ms
-    } else {
-        0.0
-    };
-
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"schema\": \"alice-bench-store-v1\",");
@@ -309,15 +239,6 @@ fn main() -> ExitCode {
         json,
         "    \"flush_merge_improvement\": {flush_improvement:.4}"
     );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"warm_get\": {{");
-    let _ = writeln!(json, "    \"pread_total_ms\": {pread_ms:.3},");
-    let _ = writeln!(json, "    \"mmap_total_ms\": {mmap_ms:.3},");
-    let _ = writeln!(json, "    \"pread_ns_per_op\": {:.1},", ns_per(pread_ms));
-    let _ = writeln!(json, "    \"mmap_ns_per_op\": {:.1},", ns_per(mmap_ms));
-    let _ = writeln!(json, "    \"pread_bytes_per_get\": {pread_bytes:.1},");
-    let _ = writeln!(json, "    \"mmap_bytes_per_get\": {mmap_bytes:.1},");
-    let _ = writeln!(json, "    \"warm_get_improvement\": {get_improvement:.4}");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 
@@ -328,24 +249,14 @@ fn main() -> ExitCode {
     println!(
         "store_bench: flush-merge ({WRITERS} writers x {READERS} readers) \
          single-segment {single_ms:.1} ms vs sharded {sharded_ms:.1} ms \
-         ({:.1}% faster sharded)",
+         ({:.1}% faster sharded); wrote {out}",
         flush_improvement * 100.0
-    );
-    println!(
-        "store_bench: warm get pread {:.0} ns/op ({pread_bytes:.0} B copied/get) \
-         vs mmap {:.0} ns/op ({mmap_bytes:.0} B copied/get, {:.1}% faster); wrote {out}",
-        ns_per(pread_ms),
-        ns_per(mmap_ms),
-        get_improvement * 100.0
     );
     if flush_improvement < 0.30 {
         eprintln!(
             "store_bench: WARNING: sharded flush-merge improvement {:.1}% is below the 30% target",
             flush_improvement * 100.0
         );
-    }
-    if get_improvement <= 0.0 {
-        eprintln!("store_bench: WARNING: mapped warm gets measured no improvement over pread");
     }
     ExitCode::SUCCESS
 }

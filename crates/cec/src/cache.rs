@@ -1,8 +1,8 @@
 //! The persistent CEC proof cache — the fourth cached oracle of the
 //! flow, sharing the `alice-store` artifact store with the
-//! characterization caches. Lookups decode straight out of the store's
-//! zero-copy [`Payload`](alice_store::Payload) views (the mapped shard
-//! bytes back the `Reader`, no intermediate heap copy), and writes land
+//! characterization caches. Lookups decode straight out of the
+//! checksum-verified buffer [`Store::get`](alice_store::Store::get)
+//! returns (the `Reader` borrows it, no further copy), and writes land
 //! in per-key shards so concurrent sweeps flush without contending.
 //!
 //! The verify stage and wrong-key sweeps repeatedly pose the *same*

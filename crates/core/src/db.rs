@@ -34,11 +34,10 @@
 //! instead of recomputing — the keys are content-addressed, so nothing
 //! about the original process needs to survive. Opening a store only
 //! indexes the sharded segments (offsets, not payloads); each record's
-//! bytes are checksum-verified on first access and served as a
-//! zero-copy [`Payload`](alice_store::Payload) view straight out of the
-//! shard's memory mapping (decoders borrow the mapped bytes — no heap
-//! copy on a warm disk hit), so anything corrupt, truncated, or written
-//! by a different format version silently degrades to a recompute.
+//! bytes are read and checksum-verified on first access, then shared as
+//! an `Arc<Vec<u8>>` that the decoders borrow, so anything corrupt,
+//! truncated, or written by a different format version silently
+//! degrades to a recompute.
 //! Writes land in per-key shards with per-shard locks, so concurrent
 //! dbs over one directory flush without contending on a whole-kind
 //! segment. Beyond the three oracles above, the store

@@ -1,10 +1,11 @@
-//! Minimal JSON parser for trace validation.
+//! Minimal JSON parser for trace validation and the bench gate
+//! (`bench_diff`).
 //!
 //! The offline crate set has no serde, so — like the YAML subset in
-//! `alice-core` and the numeric-leaf walker in `bench_diff` — this is
-//! a small hand-rolled recursive-descent parser. It accepts the full
-//! JSON grammar (objects, arrays, strings with escapes incl. surrogate
-//! pairs, numbers, booleans, null) and rejects trailing garbage.
+//! `alice-core` — this is a small hand-rolled recursive-descent parser.
+//! It accepts the full JSON grammar (objects, arrays, strings with
+//! escapes incl. surrogate pairs, numbers, booleans, null) and rejects
+//! trailing garbage.
 
 use std::fmt;
 
@@ -34,7 +35,7 @@ impl Json {
     /// malformed input, nesting deeper than 256, or trailing garbage.
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { src, bytes, pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -127,6 +128,7 @@ impl fmt::Display for Json {
 const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -286,11 +288,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // char boundaries are sound).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
+                    // Decode just the next scalar: the input is a &str,
+                    // and every other token is ASCII, so `pos` sits on a
+                    // char boundary here.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("raw control character in string"));
                     }
@@ -379,6 +384,19 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err(), "missing colon");
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn parses_a_multi_megabyte_string() {
+        // Over 4 MiB of mixed one- and multi-byte scalars in one string:
+        // decoding must stay linear in the string, not re-validate the
+        // rest of the document per character.
+        let body = "abcé😀".repeat(1 << 19);
+        let doc = format!("{{\"name\": \"{body}\", \"n\": 1}}");
+        assert!(doc.len() > 4 << 20);
+        let v = Json::parse(&doc).expect("parse");
+        assert_eq!(v.get("name").and_then(Json::as_str), Some(body.as_str()));
+        assert_eq!(v.get("n").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

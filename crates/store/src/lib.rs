@@ -24,60 +24,54 @@
 //! on a `put`, `get`, or flush, and a flush-merge rewrites **only the
 //! shards that changed** — two threads (or two processes) flushing
 //! disjoint shards commit in parallel instead of serializing on one
-//! whole-kind segment rewrite. Old v2 single-segment stores migrate in
-//! place on first open: records are re-homed by key into their shards
-//! **verbatim** (the checksum formula is unchanged, so nothing is
-//! recomputed and payloads stay byte-identical).
+//! whole-kind segment rewrite.
 //!
-//! **Opens are lazy, reads are zero-copy.** [`Store::open`] scans only
-//! the record framing, building an offset index `key → (offset, len)`
-//! without reading a single payload byte — O(records), not O(bytes).
-//! Each shard file is also memory-mapped (where the platform supports
-//! it; see [`mmap`](self) internals): [`Store::get`] returns a
-//! [`Payload`] handle that dereferences straight into the mapped region,
-//! so a warm get copies **zero** payload bytes. Checksum verification
-//! still happens lazily, on the first get of each record, and a record
-//! that fails its verify degrades to a per-record miss. Platforms
-//! without mapping support (and records inserted by this handle, which
-//! live on the heap) fall back to an owned buffer transparently.
+//! **Opens are lazy, reads are checked once.** [`Store::open`] scans
+//! only the record framing, building an offset index
+//! `key → (offset, len)` without reading a single payload byte —
+//! O(records), not O(bytes). The first [`Store::get`] of a record reads
+//! its payload and checksum with one positioned read through the
+//! shard's held file handle, verifies the digest, and memoizes the
+//! bytes on the heap; every later get hands out the same
+//! `Arc<Vec<u8>>` without touching the disk again. A record that fails
+//! its read or its verify degrades to a per-record miss.
 //!
-//! Each shard keeps its open-time file handle and mapping, so a
-//! concurrent writer's atomic-rename commit never invalidates this
-//! handle's offsets: they keep reading the original inode. A flush
-//! rewrites any shard with new records to a tempfile, commits it with an
-//! atomic rename, and fsyncs the store directory so the rename itself is
-//! durable; a crash can lose the newest records but never corrupt
-//! existing ones (read-only runs rewrite nothing but the access-stamp
-//! sidecar).
+//! Each shard keeps its open-time file handle, so a concurrent writer's
+//! atomic-rename commit never invalidates this handle's offsets: they
+//! keep reading the original inode. A flush rewrites any shard with new
+//! records to a tempfile, commits it with an atomic rename, and fsyncs
+//! the store directory so the rename itself is durable; a crash can
+//! lose the newest records but never corrupt existing ones (read-only
+//! runs rewrite nothing but the access-stamp sidecar).
 //!
 //! **Robustness contract:** a corrupt, truncated, or version-mismatched
 //! record (or whole file) silently degrades to a cache miss — the flow
 //! recomputes and overwrites; nothing in this crate turns bad disk state
-//! into an error for the caller. Framing damage (bad header, truncated
-//! tail) is caught at open; payload damage is caught at get-time, when
-//! the record is first verified. Bumping [`FORMAT_VERSION`] invalidates
-//! every existing store — except the v2 → v3 step, which migrates
-//! instead (v2 records are already checksummed with the current
-//! formula, so re-homing them into shards loses nothing).
+//! into an error for the caller, and no store bytes can abort the
+//! process (the crate contains no `unsafe`). Framing damage (bad header,
+//! truncated tail) is caught at open; payload damage is caught at
+//! get-time, when the record is first verified. Bumping
+//! [`FORMAT_VERSION`] invalidates every existing store: the store is a
+//! cache, so older layouts (including v2's one segment per kind) read as
+//! empty and are recomputed, never migrated.
 //!
 //! Eviction is explicit: [`Store::gc`] compacts to a byte budget,
 //! dropping least-recently-accessed records first (access stamps live in
 //! a sidecar index whose entries carry the shard id, so gc can stamp a
 //! record without opening any other shard).
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod codec;
-mod mmap;
 
 pub use codec::{CodecError, Reader, Writer};
 
 use alice_intern::StableHasher;
-use mmap::Mmap;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
-use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -86,17 +80,13 @@ static STORE_GETS: alice_obs::Counter = alice_obs::Counter::new(
     "alice_store_gets_total",
     "Successful artifact-store gets across all handles",
 );
-static STORE_MAPPED_GETS: alice_obs::Counter = alice_obs::Counter::new(
-    "alice_store_mapped_gets_total",
-    "Store gets served zero-copy from a segment mapping",
-);
 static STORE_COPIED_GETS: alice_obs::Counter = alice_obs::Counter::new(
     "alice_store_copied_gets_total",
-    "Store gets served through the positioned-read + copy fallback",
+    "Store gets that read and verified a payload off disk",
 );
 static STORE_BYTES_COPIED: alice_obs::Counter = alice_obs::Counter::new(
     "alice_store_bytes_copied_total",
-    "Payload bytes copied by fallback store reads",
+    "Payload bytes read off disk by store gets",
 );
 static STORE_SHARD_FLUSHES: alice_obs::Counter = alice_obs::Counter::new(
     "alice_store_shard_flushes_total",
@@ -113,13 +103,9 @@ pub const MAGIC: [u8; 8] = *b"ALICSTOR";
 /// per-record checksum and added the lemma segment; version 3 sharded
 /// every kind into [`SHARD_COUNT`] segment files (with the shard id in
 /// the header) and widened the access-index entries with the shard id.
-/// v2 stores migrate in place on open ([`Store::open`]); anything older
-/// (or newer) is treated as empty and recomputed, never misread.
+/// Files of any other version are treated as empty and recomputed, never
+/// misread.
 pub const FORMAT_VERSION: u32 = 3;
-
-/// The single-segment-per-kind format this version transparently
-/// migrates from (see [`Store::open`]).
-pub const LEGACY_FORMAT_VERSION: u32 = 2;
 
 /// Shards per kind. A power of two so the shard is a mask of the key's
 /// low bits; 8 is enough that flush-merges over distinct working sets
@@ -139,9 +125,6 @@ const RECORD_OVERHEAD: u64 = 16 + 4 + 16;
 
 /// v3 segment header: magic(8) + version(4) + kind(1) + shard(1).
 const HEADER_LEN: usize = 14;
-
-/// v2 segment header: magic(8) + version(4) + kind(1) — no shard byte.
-const LEGACY_HEADER_LEN: usize = 13;
 
 /// The artifact kinds the store segregates into (sharded) segment files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,20 +155,6 @@ impl Kind {
         Kind::Cec,
         Kind::Lemma,
     ];
-
-    /// The kind's **legacy** (v2, single-segment) file name inside the
-    /// store directory — still recognized so old stores migrate in
-    /// place; current files are named per shard
-    /// ([`Kind::shard_file_name`]).
-    pub fn file_name(self) -> &'static str {
-        match self {
-            Kind::Netlist => "netlists.seg",
-            Kind::LutMap => "lutmaps.seg",
-            Kind::Fabric => "fabrics.seg",
-            Kind::Cec => "cec.seg",
-            Kind::Lemma => "lemmas.seg",
-        }
-    }
 
     /// The stem the kind's shard files share (`<stem>.NN.seg`).
     fn file_stem(self) -> &'static str {
@@ -238,14 +207,13 @@ impl Kind {
 #[derive(Debug)]
 enum Slot {
     /// On the heap: inserted by this handle, materialized by a flush, or
-    /// read through the positioned-read fallback.
+    /// read and verified by an earlier get.
     Owned(Arc<Vec<u8>>),
     /// Indexed at open but still on disk: `offset` is the payload's byte
-    /// position in the shard's open-time file (and mapping). `verified`
-    /// flips on the first get that checks the record's digest; a failed
-    /// verify drops the record — the get-time arm of the
-    /// degrade-to-miss contract.
-    OnDisk { offset: u64, verified: bool },
+    /// position in the shard's open-time file. The first get reads and
+    /// verifies it; a failed read or verify drops the record — the
+    /// get-time arm of the degrade-to-miss contract.
+    OnDisk { offset: u64 },
 }
 
 #[derive(Debug)]
@@ -258,22 +226,17 @@ struct RecordSlot {
     stamp: u64,
 }
 
-/// One shard of one kind: its records, its open-time file handle and
-/// mapping, and its pending flush state — everything a `put`, `get`, or
-/// per-shard flush needs, behind the shard's own lock.
+/// One shard of one kind: its records, its open-time file handle, and
+/// its pending flush state — everything a `put`, `get`, or per-shard
+/// flush needs, behind the shard's own lock.
 #[derive(Debug, Default)]
 struct ShardState {
     records: HashMap<Key, RecordSlot>,
-    /// The shard's open-time file handle. Lazy reads (and the in-place
-    /// truncation guard) go through this handle, not the path: a
-    /// concurrent writer commits by renaming a new file over the path,
-    /// and the held handle keeps the original inode — and therefore
-    /// this index's offsets — alive and valid.
-    file: Option<Arc<fs::File>>,
-    /// Read-only mapping of the open-time inode, when the platform
-    /// supports it. [`Store::get`] serves zero-copy [`Payload`] handles
-    /// out of this map; `None` falls back to positioned reads.
-    map: Option<Arc<Mmap>>,
+    /// The shard's open-time file handle. Lazy reads go through this
+    /// handle, not the path: a concurrent writer commits by renaming a
+    /// new file over the path, and the held handle keeps the original
+    /// inode — and therefore this index's offsets — alive and valid.
+    file: Option<fs::File>,
     /// Keys this handle deliberately dropped (gc / opportunistic
     /// compaction) since the last flush: the flush-time merge must not
     /// resurrect them from the on-disk copy. Cleared once the compacted
@@ -289,73 +252,6 @@ impl ShardState {
             .sum()
     }
 }
-
-/// A zero-copy view of one stored payload, returned by [`Store::get`].
-///
-/// Dereferences to the payload bytes. The bytes either live in the
-/// shard's memory-mapped segment (the warm-read fast path: no heap
-/// allocation, no copy — the handle pins the mapping alive) or in an
-/// owned buffer (records inserted by this handle, flush-materialized
-/// records, and every record on platforms without mapping support).
-/// Callers never need to distinguish the two; [`Payload::is_mapped`]
-/// exists for benchmarks and tests that want to assert which path
-/// served them.
-#[derive(Clone)]
-pub struct Payload(Repr);
-
-#[derive(Clone)]
-enum Repr {
-    Owned(Arc<Vec<u8>>),
-    Mapped {
-        map: Arc<Mmap>,
-        offset: usize,
-        len: usize,
-    },
-}
-
-impl Payload {
-    fn owned(bytes: Arc<Vec<u8>>) -> Payload {
-        Payload(Repr::Owned(bytes))
-    }
-
-    fn mapped(map: Arc<Mmap>, offset: usize, len: usize) -> Payload {
-        Payload(Repr::Mapped { map, offset, len })
-    }
-
-    /// True when the bytes are served straight from the segment mapping
-    /// (zero copies); false for the owned-buffer fallback.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.0, Repr::Mapped { .. })
-    }
-}
-
-impl Deref for Payload {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match &self.0 {
-            Repr::Owned(bytes) => bytes,
-            Repr::Mapped { map, offset, len } => &map[*offset..*offset + *len],
-        }
-    }
-}
-
-impl fmt::Debug for Payload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Payload")
-            .field("len", &self[..].len())
-            .field("mapped", &self.is_mapped())
-            .finish()
-    }
-}
-
-impl PartialEq for Payload {
-    fn eq(&self, other: &Payload) -> bool {
-        self[..] == other[..]
-    }
-}
-
-impl Eq for Payload {}
 
 /// Per-kind size statistics (see [`Store::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -458,38 +354,22 @@ pub struct GcReport {
 }
 
 /// Cumulative read-path counters (see [`Store::read_stats`]): how many
-/// gets were served zero-copy out of a mapping versus through the
-/// positioned-read fallback, and how many payload bytes the fallback
-/// copied — the numbers `store_bench` reports as "bytes copied per
-/// get".
+/// gets were served, how many of them had to read a payload off disk
+/// (the first get of each on-disk record), and how many payload bytes
+/// those reads copied — the numbers `alice store stats` reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
     /// Successful [`Store::get`] calls.
     pub gets: u64,
-    /// Gets served zero-copy from a segment mapping.
+    /// Always 0: every get is served from the heap or a positioned read.
+    /// The field stays because the benchmark's store layer
+    /// (`perfbench`) still reports it.
     pub mapped_gets: u64,
-    /// Gets that read + copied the payload off disk (first touch of a
-    /// record on a platform or handle without a mapping).
+    /// Gets that read + verified a payload off disk (the first get of a
+    /// record this handle did not insert).
     pub copied_gets: u64,
-    /// Payload bytes copied by those fallback reads.
+    /// Payload bytes copied by those reads.
     pub bytes_copied: u64,
-}
-
-/// How to open a store (see [`Store::open_with`]).
-#[derive(Debug, Clone, Copy)]
-pub struct StoreOptions {
-    /// Memory-map shard files and serve zero-copy [`Payload`] handles
-    /// (the default). Disable to force every read through the
-    /// positioned-read + copy fallback — the behaviour of platforms
-    /// without mapping support, and the "before" leg of
-    /// `store_bench`'s read comparison.
-    pub mmap: bool,
-}
-
-impl Default for StoreOptions {
-    fn default() -> StoreOptions {
-        StoreOptions { mmap: true }
-    }
 }
 
 /// The persistent artifact store. Thread-safe: share it in an `Arc` and
@@ -500,7 +380,6 @@ impl Default for StoreOptions {
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    use_mmap: bool,
     /// `[kind][shard]` → that shard's state behind its own lock. The
     /// only multi-shard lock order in the crate is kind-major,
     /// shard-minor (compacting flushes, stats, the access-index
@@ -520,7 +399,6 @@ pub struct Store {
     /// the budget before committing (see [`Store::set_compact_budget`]).
     compact_budget: Mutex<Option<u64>>,
     gets: AtomicU64,
-    mapped_gets: AtomicU64,
     copied_gets: AtomicU64,
     bytes_copied: AtomicU64,
 }
@@ -531,51 +409,32 @@ pub struct Store {
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl Store {
-    /// Opens (creating if needed) the store at `dir` with default
-    /// options, building an in-memory **offset index** of every readable
-    /// record. Only the record framing is scanned — payloads stay on
-    /// disk until the first [`Store::get`] verifies them — so open cost
-    /// scales with the record count, not the stored bytes. Unreadable,
-    /// corrupt, or version-mismatched files are treated as empty.
-    ///
-    /// A v2 (single-segment) store found at `dir` is **migrated in
-    /// place** first: each legacy segment's records are re-homed by key
-    /// into their shard files verbatim — same framing, same checksums,
-    /// zero recomputation — and the legacy file is removed once every
-    /// shard is durably committed.
+    /// Opens (creating if needed) the store at `dir`, building an
+    /// in-memory **offset index** of every readable record. Only the
+    /// record framing is scanned — payloads stay on disk until the first
+    /// [`Store::get`] verifies them — so open cost scales with the
+    /// record count, not the stored bytes. Unreadable, corrupt, or
+    /// version-mismatched files are treated as empty; files of an older
+    /// layout (such as v2's single segment per kind) are neither read
+    /// nor touched.
     ///
     /// # Errors
     ///
     /// Returns an [`io::Error`] only when the directory itself cannot be
     /// created — bad *contents* never error.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Store> {
-        Store::open_with(dir, StoreOptions::default())
-    }
-
-    /// [`Store::open`] with explicit [`StoreOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`io::Error`] only when the directory itself cannot be
-    /// created.
-    pub fn open_with(dir: impl Into<PathBuf>, options: StoreOptions) -> io::Result<Store> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let mut states: Vec<Vec<ShardState>> = Vec::with_capacity(5);
         for kind in Kind::ALL {
-            migrate_legacy_segment(&dir, kind);
             let mut kind_states = Vec::with_capacity(SHARD_COUNT);
             for shard in 0..SHARD_COUNT {
                 let mut state = ShardState::default();
                 let path = dir.join(kind.shard_file_name(shard));
                 if let Ok(file) = fs::File::open(&path) {
                     if let Some(records) = index_segment(kind, shard, &file) {
-                        let size = file.metadata().map(|m| m.len()).unwrap_or(0);
                         state.records = records;
-                        if options.mmap {
-                            state.map = Mmap::map(&file, size).map(Arc::new);
-                        }
-                        state.file = Some(Arc::new(file));
+                        state.file = Some(file);
                     }
                 }
                 kind_states.push(state);
@@ -603,14 +462,12 @@ impl Store {
         });
         Ok(Store {
             dir,
-            use_mmap: options.mmap,
             shards,
             dirty: std::array::from_fn(|_| std::array::from_fn(|_| AtomicBool::new(false))),
             clock: AtomicU64::new(max_stamp + 1),
             access_dirty: AtomicBool::new(false),
             compact_budget: Mutex::new(None),
             gets: AtomicU64::new(0),
-            mapped_gets: AtomicU64::new(0),
             copied_gets: AtomicU64::new(0),
             bytes_copied: AtomicU64::new(0),
         })
@@ -619,12 +476,6 @@ impl Store {
     /// The store's directory.
     pub fn path(&self) -> &Path {
         &self.dir
-    }
-
-    /// Whether this handle serves mapped (zero-copy) reads
-    /// ([`StoreOptions::mmap`]).
-    pub fn mmap_enabled(&self) -> bool {
-        self.use_mmap
     }
 
     fn shard(&self, kind: Kind, shard: usize) -> MutexGuard<'_, ShardState> {
@@ -639,103 +490,47 @@ impl Store {
 
     /// Looks `key` up, returning the stored payload and bumping its
     /// last-access stamp. Only the key's shard is locked. A record still
-    /// on disk is checksum-verified here — in place, through the shard's
-    /// mapping, with zero payload copies (or via a positioned read +
-    /// copy where mapping is unavailable) — and a record that fails the
-    /// read or the verify degrades to a miss: the caller recomputes,
-    /// exactly as if an eager open had dropped it.
-    pub fn get(&self, kind: Kind, key: Key) -> Option<Payload> {
+    /// on disk is read here with one positioned read through the shard's
+    /// held handle, checksum-verified, and memoized, so later gets share
+    /// the same buffer; a record that fails the read or the verify
+    /// degrades to a miss: the caller recomputes, exactly as if an eager
+    /// open had dropped it.
+    pub fn get(&self, kind: Kind, key: Key) -> Option<Arc<Vec<u8>>> {
         let _span = alice_obs::span("store.get");
-        let shard = shard_of(key);
-        let mut guard = self.shard(kind, shard);
+        let mut guard = self.shard(kind, shard_of(key));
         let state = &mut *guard;
-        let map = state.map.clone();
-        let file = state.file.clone();
         let slot = state.records.get_mut(&key)?;
-        let len = slot.len;
-        // What the slot yielded, and how to update it afterwards.
-        struct Served {
-            payload: Payload,
-            memoize: Option<Arc<Vec<u8>>>,
-            mark_verified: bool,
-        }
-        let served: Option<Served> = match &slot.payload {
-            Slot::Owned(bytes) => Some(Served {
-                payload: Payload::owned(bytes.clone()),
-                memoize: None,
-                mark_verified: false,
-            }),
-            Slot::OnDisk { offset, verified } => {
-                let offset = *offset;
-                if let Some(map) = &map {
-                    let intact = (offset as usize)
-                        .checked_add(len as usize + 16)
-                        .is_some_and(|end| end <= map.len())
-                        && (*verified
-                            || mapped_record_intact(file.as_deref(), map, key, offset, len));
-                    if intact {
-                        self.mapped_gets.fetch_add(1, Ordering::Relaxed);
-                        STORE_MAPPED_GETS.inc();
-                        Some(Served {
-                            payload: Payload::mapped(map.clone(), offset as usize, len as usize),
-                            memoize: None,
-                            mark_verified: true,
-                        })
-                    } else {
-                        None
-                    }
-                } else {
-                    match file
-                        .as_deref()
-                        .and_then(|f| read_verified(f, key, offset, len))
-                    {
-                        Some(payload) => {
-                            self.copied_gets.fetch_add(1, Ordering::Relaxed);
-                            self.bytes_copied
-                                .fetch_add(u64::from(len), Ordering::Relaxed);
-                            STORE_COPIED_GETS.inc();
-                            STORE_BYTES_COPIED.add(u64::from(len));
-                            let payload = Arc::new(payload);
-                            Some(Served {
-                                payload: Payload::owned(payload.clone()),
-                                memoize: Some(payload),
-                                mark_verified: false,
-                            })
-                        }
-                        None => None,
-                    }
-                }
+        let bytes = match slot.payload {
+            Slot::Owned(ref bytes) => bytes.clone(),
+            Slot::OnDisk { offset } => {
+                let read = state
+                    .file
+                    .as_ref()
+                    .and_then(|f| read_verified(f, key, offset, slot.len));
+                let Some(payload) = read else {
+                    // Verify-on-get: the record's payload fails its read
+                    // or checksum, so it degrades to a miss. Dropped
+                    // without a tombstone and without dirtying the
+                    // shard: read-only runs never rewrite, and a future
+                    // flush simply omits it.
+                    state.records.remove(&key);
+                    return None;
+                };
+                self.copied_gets.fetch_add(1, Ordering::Relaxed);
+                self.bytes_copied
+                    .fetch_add(u64::from(slot.len), Ordering::Relaxed);
+                STORE_COPIED_GETS.inc();
+                STORE_BYTES_COPIED.add(u64::from(slot.len));
+                let bytes = Arc::new(payload);
+                slot.payload = Slot::Owned(bytes.clone());
+                bytes
             }
         };
-        match served {
-            Some(Served {
-                payload,
-                memoize,
-                mark_verified,
-            }) => {
-                if let Some(owned) = memoize {
-                    slot.payload = Slot::Owned(owned);
-                } else if mark_verified {
-                    if let Slot::OnDisk { verified, .. } = &mut slot.payload {
-                        *verified = true;
-                    }
-                }
-                slot.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-                self.gets.fetch_add(1, Ordering::Relaxed);
-                STORE_GETS.inc();
-                self.access_dirty.store(true, Ordering::Relaxed);
-                Some(payload)
-            }
-            None => {
-                // Verify-on-get: the record's payload fails its read or
-                // checksum, so it degrades to a miss. Dropped without a
-                // tombstone and without dirtying the shard: read-only
-                // runs never rewrite, and a future flush simply omits
-                // it.
-                state.records.remove(&key);
-                None
-            }
-        }
+        slot.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        STORE_GETS.inc();
+        self.access_dirty.store(true, Ordering::Relaxed);
+        Some(bytes)
     }
 
     /// Inserts (or overwrites) a record, locking only the key's shard.
@@ -795,11 +590,12 @@ impl Store {
         stats
     }
 
-    /// Cumulative read-path counters (zero-copy vs copied gets).
+    /// Cumulative read-path counters (gets, and the first gets that
+    /// read off disk).
     pub fn read_stats(&self) -> ReadStats {
         ReadStats {
             gets: self.gets.load(Ordering::Relaxed),
-            mapped_gets: self.mapped_gets.load(Ordering::Relaxed),
+            mapped_gets: 0,
             copied_gets: self.copied_gets.load(Ordering::Relaxed),
             bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
         }
@@ -988,8 +784,7 @@ impl Store {
             .expect("forced budget always produces a report"))
     }
 
-    /// Removes every record (in memory and on disk), including any
-    /// legacy v2 segment files still present.
+    /// Removes every record (in memory and on disk).
     ///
     /// # Errors
     ///
@@ -1006,7 +801,6 @@ impl Store {
         }
         let mut names: Vec<String> = Vec::new();
         for kind in Kind::ALL {
-            names.push(kind.file_name().to_string());
             for shard in 0..SHARD_COUNT {
                 names.push(kind.shard_file_name(shard));
             }
@@ -1084,8 +878,7 @@ fn read_exact_at(file: &fs::File, buf: &mut [u8], offset: u64) -> io::Result<()>
 /// The per-record checksum: a [`StableHasher`] digest over the key and
 /// the payload. Folding the key in means a key bit-flip fails the
 /// verify instead of silently re-homing a valid payload under the wrong
-/// content address. Unchanged since v2 — which is exactly why the
-/// v2 → v3 migration can re-home records verbatim.
+/// content address.
 fn record_digest(key: Key, payload: &[u8]) -> (u64, u64) {
     let mut h = StableHasher::new();
     h.write_u64(key.0);
@@ -1094,42 +887,10 @@ fn record_digest(key: Key, payload: &[u8]) -> (u64, u64) {
     h.finish()
 }
 
-/// Verifies one record **in place** through the shard's mapping: no
-/// payload copy, just a digest walk over the mapped bytes. The held
-/// file handle guards against in-place truncation *after* open (a
-/// shrunk inode would make the mapped tail fault, so a record whose
-/// frame now hangs past EOF degrades to a miss instead of being
-/// touched).
-fn mapped_record_intact(
-    file: Option<&fs::File>,
-    map: &Mmap,
-    key: Key,
-    offset: u64,
-    len: u32,
-) -> bool {
-    let end = offset + u64::from(len) + 16;
-    if let Some(f) = file {
-        match f.metadata() {
-            Ok(md) if md.len() >= end => {}
-            _ => return false,
-        }
-    }
-    let start = offset as usize;
-    let payload_end = start + len as usize;
-    let payload = &map[start..payload_end];
-    let c0 = u64::from_le_bytes(map[payload_end..payload_end + 8].try_into().expect("8"));
-    let c1 = u64::from_le_bytes(
-        map[payload_end + 8..payload_end + 16]
-            .try_into()
-            .expect("8"),
-    );
-    record_digest(key, payload) == (c0, c1)
-}
-
 /// Reads one record's payload + checksum at `offset` through the
 /// shard's held handle and verifies the digest. `None` on any short
-/// read or checksum mismatch — the get-time degrade-to-miss path for
-/// handles without a mapping.
+/// read or checksum mismatch — the degrade-to-miss path shared by gets
+/// and flush-time materialization.
 fn read_verified(file: &fs::File, key: Key, offset: u64, len: u32) -> Option<Vec<u8>> {
     let len = len as usize;
     let mut buf = vec![0u8; len + 16];
@@ -1143,41 +904,24 @@ fn read_verified(file: &fs::File, key: Key, offset: u64, len: u32) -> Option<Vec
     Some(buf)
 }
 
-/// Reads every lazily-indexed payload into the heap (through the
-/// mapping where available, else the held handle) so a rewrite can
-/// serialize it; records that fail the read or the checksum are dropped
-/// (degrade to a miss, never serialize garbage).
+/// Reads every lazily-indexed payload into the heap through the held
+/// handle so a rewrite can serialize it; records that fail the read or
+/// the checksum are dropped (degrade to a miss, never serialize
+/// garbage).
 fn materialize(state: &mut ShardState) {
-    let file = state.file.clone();
-    let map = state.map.clone();
-    let mut bad: Vec<Key> = Vec::new();
-    for (key, slot) in state.records.iter_mut() {
-        if let Slot::OnDisk { offset, .. } = slot.payload {
-            let read = match &map {
-                Some(m) => {
-                    let in_bounds = (offset as usize)
-                        .checked_add(slot.len as usize + 16)
-                        .is_some_and(|end| end <= m.len());
-                    if in_bounds && mapped_record_intact(file.as_deref(), m, *key, offset, slot.len)
-                    {
-                        Some(m[offset as usize..offset as usize + slot.len as usize].to_vec())
-                    } else {
-                        None
-                    }
-                }
-                None => file
-                    .as_deref()
-                    .and_then(|f| read_verified(f, *key, offset, slot.len)),
-            };
-            match read {
-                Some(payload) => slot.payload = Slot::Owned(Arc::new(payload)),
-                None => bad.push(*key),
+    let file = state.file.as_ref();
+    state.records.retain(|key, slot| {
+        let Slot::OnDisk { offset } = slot.payload else {
+            return true;
+        };
+        match file.and_then(|f| read_verified(f, *key, offset, slot.len)) {
+            Some(payload) => {
+                slot.payload = Slot::Owned(Arc::new(payload));
+                true
             }
+            None => false,
         }
-    }
-    for key in bad {
-        state.records.remove(&key);
-    }
+    });
 }
 
 impl Store {
@@ -1290,10 +1034,7 @@ fn index_segment(kind: Kind, shard: usize, file: &fs::File) -> Option<HashMap<Ke
         records.insert(
             (k0, k1),
             RecordSlot {
-                payload: Slot::OnDisk {
-                    offset: pos,
-                    verified: false,
-                },
+                payload: Slot::OnDisk { offset: pos },
                 len,
                 stamp: 0,
             },
@@ -1338,89 +1079,6 @@ fn load_segment(kind: Kind, shard: usize, bytes: &[u8], state: &mut ShardState) 
             },
         );
     }
-}
-
-/// Walks a segment body's record framing (no verification), returning
-/// each record's key and its raw byte range — the verbatim-copy
-/// primitive the v2 → v3 migration is built on. Stops at the first
-/// frame that runs past the end (truncated tail).
-fn scan_record_frames(bytes: &[u8], header_len: usize) -> Vec<(Key, std::ops::Range<usize>)> {
-    let mut out = Vec::new();
-    let mut pos = header_len;
-    while bytes.len().saturating_sub(pos) >= RECORD_OVERHEAD as usize {
-        let start = pos;
-        let k0 = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8"));
-        let k1 = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().expect("8"));
-        let len = u32::from_le_bytes(bytes[pos + 16..pos + 20].try_into().expect("4")) as usize;
-        pos += 20;
-        if bytes.len() - pos < len + 16 {
-            break;
-        }
-        pos += len + 16;
-        out.push(((k0, k1), start..pos));
-    }
-    out
-}
-
-/// One-shot, in-place v2 → v3 migration of one kind: splits the legacy
-/// single-segment file's records **verbatim** into per-shard files (the
-/// checksum formula is unchanged, so nothing is recomputed and payloads
-/// stay byte-identical), unions with any shard content already present
-/// (a crash mid-migration re-runs safely; existing shard records win on
-/// key conflicts), and removes the legacy file only once every shard is
-/// durably committed. Invalid or non-v2 legacy files are left alone and
-/// treated as empty.
-fn migrate_legacy_segment(dir: &Path, kind: Kind) {
-    let legacy_path = dir.join(kind.file_name());
-    let Ok(bytes) = fs::read(&legacy_path) else {
-        return;
-    };
-    if bytes.len() < LEGACY_HEADER_LEN
-        || bytes[..8] != MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) != LEGACY_FORMAT_VERSION
-        || bytes[12] != kind.tag()
-    {
-        return;
-    }
-    // Bucket the legacy records' raw frames by destination shard.
-    let mut buckets: [Vec<(Key, std::ops::Range<usize>)>; SHARD_COUNT] = Default::default();
-    for (key, range) in scan_record_frames(&bytes, LEGACY_HEADER_LEN) {
-        buckets[shard_of(key)].push((key, range));
-    }
-    for (shard, bucket) in buckets.iter().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        // Union with whatever this shard already holds (a previous
-        // migration attempt, or records flushed between the crash and
-        // this re-run): existing records are newer, so they win.
-        let existing = fs::read(dir.join(kind.shard_file_name(shard))).unwrap_or_default();
-        let mut out = Vec::with_capacity(existing.len() + bytes.len() / SHARD_COUNT + HEADER_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.push(kind.tag());
-        out.push(shard as u8);
-        let mut taken: HashSet<Key> = HashSet::new();
-        if shard_header_ok(&existing, kind, shard) {
-            for (key, range) in scan_record_frames(&existing, HEADER_LEN) {
-                taken.insert(key);
-                out.extend_from_slice(&existing[range]);
-            }
-        }
-        for (key, range) in bucket {
-            if taken.insert(*key) {
-                out.extend_from_slice(&bytes[range.clone()]);
-            }
-        }
-        if commit_file(dir, &kind.shard_file_name(shard), &out).is_err() {
-            // Leave the legacy file in place: the next open retries the
-            // migration, and until then the un-migrated records merely
-            // read as misses.
-            return;
-        }
-    }
-    let _ = fs::remove_file(&legacy_path);
-    let _ = fsync_dir(dir);
 }
 
 /// Serializes access entries from held shard guards (the compacting
@@ -1502,38 +1160,6 @@ mod tests {
         dir
     }
 
-    /// Hand-rolls a segment file image (v2 legacy when `shard` is
-    /// `None`, v3 when it carries the shard byte) — the fixture builder
-    /// for migration tests.
-    fn raw_segment(
-        version: u32,
-        kind: Kind,
-        shard: Option<u8>,
-        records: &[(Key, Vec<u8>)],
-    ) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.push(kind.tag());
-        if let Some(s) = shard {
-            out.push(s);
-        }
-        for (key, payload) in records {
-            out.extend_from_slice(&key.0.to_le_bytes());
-            out.extend_from_slice(&key.1.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(payload);
-            let (c0, c1) = record_digest(*key, payload);
-            out.extend_from_slice(&c0.to_le_bytes());
-            out.extend_from_slice(&c1.to_le_bytes());
-        }
-        out
-    }
-
-    fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
-        !needle.is_empty() && haystack.windows(needle.len()).any(|w| w == needle)
-    }
-
     #[test]
     fn shard_of_uses_low_key_bits() {
         assert_eq!(shard_of((0, 99)), 0);
@@ -1566,10 +1192,6 @@ mod tests {
         // Records landed in their keys' shard files.
         assert!(dir.join(Kind::Netlist.shard_file_name(1)).exists());
         assert!(dir.join(Kind::Fabric.shard_file_name(3)).exists());
-        assert!(
-            !dir.join(Kind::Netlist.file_name()).exists(),
-            "no legacy file"
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1676,10 +1298,9 @@ mod tests {
             s.put(Kind::Cec, (9, 9), vec![8; 64]);
             s.flush().expect("flush");
         }
-        // Open first (lazy index built, shard mapped), corrupt
-        // afterwards: the damage lands between open and the first get,
-        // and the mmap-path verify still catches it — a per-record
-        // miss, not a crash.
+        // Open first (lazy index built), corrupt afterwards: the damage
+        // lands between open and the first get, and the get-time verify
+        // still catches it — a per-record miss, not a crash.
         let s = Store::open(&dir).expect("reopen");
         let path = dir.join(Kind::Cec.shard_file_name(1));
         let mut bytes = fs::read(&path).expect("read segment");
@@ -1714,6 +1335,39 @@ mod tests {
         assert_eq!(
             s.get(Kind::Netlist, (1, 1)).map(|b| b.to_vec()),
             Some(vec![7; 64])
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_served_once_survives_in_place_truncation() {
+        let dir = tmp_dir("trunc-served");
+        {
+            let s = Store::open(&dir).expect("open");
+            // Both keys share shard 1; 8 KiB each, so the truncation
+            // below removes whole pages of the file.
+            s.put(Kind::Fabric, (1, 1), vec![7; 8192]);
+            s.put(Kind::Fabric, (9, 9), vec![8; 8192]);
+            s.flush().expect("flush");
+        }
+        let s = Store::open(&dir).expect("reopen");
+        let first = s.get(Kind::Fabric, (9, 9)).expect("hit");
+        assert_eq!(&first[..], &[8u8; 8192][..]);
+        // Truncate the shard file to its header in place (same inode the
+        // store holds open).
+        let path = dir.join(Kind::Fabric.shard_file_name(1));
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .expect("open for truncation")
+            .set_len(HEADER_LEN as u64)
+            .expect("truncate");
+        let again = s.get(Kind::Fabric, (9, 9)).expect("served again");
+        assert_eq!(again, first, "the verified bytes are served again");
+        assert_eq!(
+            s.get(Kind::Fabric, (1, 1)),
+            None,
+            "a record never served degrades to a miss"
         );
         let _ = fs::remove_dir_all(&dir);
     }
@@ -2154,160 +1808,71 @@ mod tests {
     }
 
     #[test]
-    fn v2_store_migrates_in_place_with_verbatim_records() {
-        let dir = tmp_dir("migrate");
+    fn v2_segment_is_ignored_and_left_untouched() {
+        let dir = tmp_dir("v2");
         fs::create_dir_all(&dir).expect("mkdir");
-        // A v2 single-segment store with records destined for many
-        // shards, written the way PR 7's code would have.
-        let records: Vec<(Key, Vec<u8>)> = (0..20u64)
-            .map(|k| ((k * 3, k), vec![k as u8; 48 + k as usize]))
-            .collect();
-        let legacy = raw_segment(LEGACY_FORMAT_VERSION, Kind::Netlist, None, &records);
-        fs::write(dir.join(Kind::Netlist.file_name()), &legacy).expect("write legacy");
-        let frames = scan_record_frames(&legacy, LEGACY_HEADER_LEN);
-        assert_eq!(frames.len(), records.len());
-
-        let s = Store::open(&dir).expect("open migrates");
-        assert!(
-            !dir.join(Kind::Netlist.file_name()).exists(),
-            "legacy file removed after a successful migration"
-        );
-        for (key, payload) in &records {
-            assert_eq!(
-                s.get(Kind::Netlist, *key).map(|b| b.to_vec()),
-                Some(payload.clone()),
-                "payload byte-identical after migration"
-            );
+        // A valid v2 single-segment file: magic, version 2, kind tag (no
+        // shard byte), then checksummed records in the unchanged frame
+        // format.
+        let mut legacy = Vec::new();
+        legacy.extend_from_slice(&MAGIC);
+        legacy.extend_from_slice(&2u32.to_le_bytes());
+        legacy.push(Kind::Netlist.tag());
+        for k in 0..4u64 {
+            let payload = vec![k as u8; 48];
+            legacy.extend_from_slice(&k.to_le_bytes());
+            legacy.extend_from_slice(&k.to_le_bytes());
+            legacy.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            legacy.extend_from_slice(&payload);
+            let (c0, c1) = record_digest((k, k), &payload);
+            legacy.extend_from_slice(&c0.to_le_bytes());
+            legacy.extend_from_slice(&c1.to_le_bytes());
         }
-        // Zero recomputation: every record's raw frame (key + len +
-        // payload + checksum) appears verbatim in its shard file.
-        for (key, range) in &frames {
-            let shard_bytes =
-                fs::read(dir.join(Kind::Netlist.shard_file_name(shard_of(*key)))).expect("shard");
-            assert!(shard_header_ok(&shard_bytes, Kind::Netlist, shard_of(*key)));
-            assert!(
-                contains_subslice(&shard_bytes, &legacy[range.clone()]),
-                "frame copied verbatim into shard {}",
-                shard_of(*key)
-            );
-        }
-        drop(s);
-        // Second open: nothing left to migrate, still zero misses.
-        let s = Store::open(&dir).expect("second open");
-        assert_eq!(s.stats().records(), records.len());
-        for (key, payload) in &records {
-            assert_eq!(
-                s.get(Kind::Netlist, *key).map(|b| b.to_vec()),
-                Some(payload.clone())
-            );
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migration_unions_with_existing_shards_existing_wins() {
-        let dir = tmp_dir("migrate-union");
-        fs::create_dir_all(&dir).expect("mkdir");
-        // Crash-window scenario: a previous partial migration (or a
-        // post-crash flush) already committed shard 1 with a NEWER
-        // record for key (1,0); the legacy file still holds the older
-        // one plus a key the shard lacks.
-        let newer = raw_segment(
-            FORMAT_VERSION,
-            Kind::Cec,
-            Some(1),
-            &[((1, 0), vec![0xEE; 8])],
-        );
-        let legacy = raw_segment(
-            LEGACY_FORMAT_VERSION,
-            Kind::Cec,
-            None,
-            &[((1, 0), vec![0x01; 8]), ((9, 0), vec![0x02; 8])],
-        );
-        fs::write(dir.join(Kind::Cec.shard_file_name(1)), &newer).expect("write shard");
-        fs::write(dir.join(Kind::Cec.file_name()), &legacy).expect("write legacy");
-        let s = Store::open(&dir).expect("open");
-        assert_eq!(
-            s.get(Kind::Cec, (1, 0)).map(|b| b.to_vec()),
-            Some(vec![0xEE; 8]),
-            "the already-migrated (newer) record wins the union"
-        );
-        assert_eq!(
-            s.get(Kind::Cec, (9, 0)).map(|b| b.to_vec()),
-            Some(vec![0x02; 8]),
-            "the not-yet-migrated record is recovered from the legacy file"
-        );
-        assert!(!dir.join(Kind::Cec.file_name()).exists());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn invalid_legacy_file_is_ignored_not_migrated() {
-        let dir = tmp_dir("migrate-bad");
-        fs::create_dir_all(&dir).expect("mkdir");
-        fs::write(dir.join(Kind::Fabric.file_name()), b"not a store file").expect("write");
-        let s = Store::open(&dir).expect("open");
-        assert_eq!(s.stats().records(), 0);
-        assert!(
-            dir.join(Kind::Fabric.file_name()).exists(),
-            "unrecognized legacy bytes are left untouched"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn warm_gets_are_zero_copy_where_mapping_exists() {
-        let dir = tmp_dir("zero-copy");
+        let legacy_path = dir.join("netlists.seg");
+        fs::write(&legacy_path, &legacy).expect("write v2 segment");
         {
             let s = Store::open(&dir).expect("open");
-            s.put(Kind::Netlist, (1, 1), vec![7; 256]);
+            assert_eq!(s.stats().records(), 0, "v2 records are not read");
+            assert_eq!(s.get(Kind::Netlist, (1, 1)), None);
+            // A recompute writes the current layout beside it.
+            s.put(Kind::Netlist, (1, 1), vec![1; 48]);
             s.flush().expect("flush");
         }
-        let mappable = cfg!(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ));
+        assert_eq!(
+            fs::read(&legacy_path).expect("v2 file still present"),
+            legacy,
+            "the v2 file is left byte-for-byte untouched"
+        );
         let s = Store::open(&dir).expect("reopen");
-        let p = s.get(Kind::Netlist, (1, 1)).expect("hit");
-        assert_eq!(&p[..], &[7u8; 256][..]);
-        assert_eq!(p.is_mapped(), mappable);
-        // Second get: still served (verification is memoized), equal.
-        let q = s.get(Kind::Netlist, (1, 1)).expect("hit again");
-        assert_eq!(p, q);
-        let rs = s.read_stats();
-        assert_eq!(rs.gets, 2);
-        if mappable {
-            assert_eq!(rs.mapped_gets, 2);
-            assert_eq!(rs.bytes_copied, 0, "mmap path copies nothing");
-        } else {
-            assert!(rs.bytes_copied >= 256, "fallback path copies the payload");
-        }
+        assert_eq!(s.stats().records(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn mmap_disabled_falls_back_to_positioned_reads() {
-        let dir = tmp_dir("no-mmap");
+    fn first_get_copies_once_and_repeat_gets_copy_nothing() {
+        let dir = tmp_dir("copy-once");
         {
             let s = Store::open(&dir).expect("open");
             s.put(Kind::LutMap, (1, 1), vec![9; 128]);
             s.flush().expect("flush");
         }
-        let s = Store::open_with(&dir, StoreOptions { mmap: false }).expect("reopen");
+        let s = Store::open(&dir).expect("reopen");
         let p = s.get(Kind::LutMap, (1, 1)).expect("hit");
-        assert!(!p.is_mapped());
         assert_eq!(&p[..], &[9u8; 128][..]);
-        let rs = s.read_stats();
-        assert_eq!(rs.mapped_gets, 0);
-        assert_eq!(rs.copied_gets, 1);
-        assert_eq!(rs.bytes_copied, 128);
-        // Corruption still degrades to a miss on this path.
-        let path = dir.join(Kind::LutMap.shard_file_name(1));
-        let mut bytes = fs::read(&path).expect("read");
-        bytes[HEADER_LEN + 20 + 3] ^= 0xFF;
-        fs::write(&path, &bytes).expect("rewrite");
-        let s = Store::open_with(&dir, StoreOptions { mmap: false }).expect("reopen 2");
-        assert_eq!(s.get(Kind::LutMap, (1, 1)), None);
+        let first = ReadStats {
+            gets: 1,
+            mapped_gets: 0,
+            copied_gets: 1,
+            bytes_copied: 128,
+        };
+        assert_eq!(s.read_stats(), first, "the first get copies the payload");
+        let q = s.get(Kind::LutMap, (1, 1)).expect("hit again");
+        assert!(Arc::ptr_eq(&p, &q), "the verified read is memoized");
+        assert_eq!(
+            s.read_stats(),
+            ReadStats { gets: 2, ..first },
+            "a repeat get copies nothing more"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

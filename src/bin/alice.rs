@@ -238,8 +238,8 @@ fn run_store_cmd(cmd: &StoreCmd) -> Result<(), Box<dyn std::error::Error>> {
             let reads = store.read_stats();
             println!();
             println!(
-                "reads (this handle): {} get(s), {} mapped, {} copied, {} byte(s) copied",
-                reads.gets, reads.mapped_gets, reads.copied_gets, reads.bytes_copied
+                "reads (this handle): {} get(s), {} copied, {} byte(s) copied",
+                reads.gets, reads.copied_gets, reads.bytes_copied
             );
         }
         StoreAction::Gc => {
@@ -378,12 +378,11 @@ fn run_flow(
             let reads = store.read_stats();
             eprintln!(
                 "alice: store {}: {} record(s), {} byte(s); {} get(s) \
-                 ({} mapped, {} copied, {} byte(s) copied)",
+                 ({} copied, {} byte(s) copied)",
                 store.path().display(),
                 stats.records(),
                 stats.bytes(),
                 reads.gets,
-                reads.mapped_gets,
                 reads.copied_gets,
                 reads.bytes_copied
             );

@@ -127,6 +127,33 @@ fn bit_flipped_store_still_yields_byte_identical_output() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The next run over a store the current version cannot read is exactly
+/// as cold as the first (`cold_window`), emits the same bytes as `cold`,
+/// and rewrites the store so a third run is warm again.
+fn assert_recomputed_then_warm(
+    dir: &Path,
+    design: &Design,
+    cold: &FlowOutcome,
+    cold_window: CacheCounts,
+) {
+    let (recomputed, window) = run_store_backed(dir, design);
+    assert_eq!(
+        window.disk_hits, 0,
+        "version-mismatched records must never be served"
+    );
+    assert_eq!(
+        window.misses, cold_window.misses,
+        "the run is exactly as cold as the first one"
+    );
+    assert_eq!(emitted(&recomputed), emitted(cold));
+
+    // The recompute rewrote the store at the current version: a third
+    // process is warm again.
+    let (_, rewarmed) = run_store_backed(dir, design);
+    assert!(rewarmed.disk_hits > 0);
+    assert_eq!(rewarmed.misses, 0);
+}
+
 #[test]
 fn version_bump_invalidates_the_whole_store() {
     let dir = store_dir("version");
@@ -144,37 +171,21 @@ fn version_bump_invalidates_the_whole_store() {
         }
     }
 
-    let (recomputed, window) = run_store_backed(&dir, &design);
-    assert_eq!(
-        window.disk_hits, 0,
-        "version-mismatched records must never be served"
-    );
-    assert_eq!(
-        window.misses, cold_window.misses,
-        "the run is exactly as cold as the first one"
-    );
-    assert_eq!(emitted(&recomputed), emitted(&cold));
-
-    // The recompute rewrote the store at the current version: a third
-    // process is warm again.
-    let (_, rewarmed) = run_store_backed(&dir, &design);
-    assert!(rewarmed.disk_hits > 0);
-    assert_eq!(rewarmed.misses, 0);
+    assert_recomputed_then_warm(&dir, &design, &cold, cold_window);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn v2_store_migrates_in_place_and_second_process_is_warm() {
-    let dir = store_dir("migrate");
+fn v2_store_is_recomputed_like_a_version_bump() {
+    let dir = store_dir("v2");
     let design = gcd_design();
     let (cold, cold_window) = run_store_backed(&dir, &design);
     assert!(cold_window.misses > 0);
 
     // Rewind the on-disk layout to the v2 single-segment format:
-    // concatenate every shard's record frames (they are verbatim v2
-    // frames — the record format did not change) into one legacy file
-    // per kind, then delete the shard files. This is byte-for-byte what
-    // a PR 7 store left behind.
+    // concatenate every shard's record frames (the frame format did not
+    // change) into one `<stem>.seg` file per kind under a version-2
+    // header, then delete the shard files.
     let frames = |bytes: &[u8]| {
         let mut out: Vec<std::ops::Range<usize>> = Vec::new();
         let mut pos = 14; // v3 header: magic(8) + version(4) + kind + shard
@@ -188,7 +199,7 @@ fn v2_store_migrates_in_place_and_second_process_is_warm() {
         }
         out
     };
-    let mut rewound_any = false;
+    let mut legacy_files: Vec<(PathBuf, Vec<u8>)> = Vec::new();
     for kind in Kind::ALL {
         let mut legacy: Option<Vec<u8>> = None;
         for shard in 0..SHARD_COUNT {
@@ -209,27 +220,25 @@ fn v2_store_migrates_in_place_and_second_process_is_warm() {
             std::fs::remove_file(&path).expect("remove shard");
         }
         if let Some(legacy) = legacy {
-            std::fs::write(dir.join(kind.file_name()), &legacy).expect("write legacy");
-            rewound_any = true;
+            let path = dir.join(kind.shard_file_name(0).replace(".00.seg", ".seg"));
+            std::fs::write(&path, &legacy).expect("write legacy");
+            legacy_files.push((path, legacy));
         }
     }
-    assert!(rewound_any, "the store must have had content to rewind");
+    assert!(
+        !legacy_files.is_empty(),
+        "the store must have had content to rewind"
+    );
 
-    // The second process opens the v2 store, migrates it in place, and
-    // recomputes NOTHING: matrix-wide zero misses, byte-identical
-    // output.
-    let (migrated, window) = run_store_backed(&dir, &design);
-    assert_eq!(window.misses, 0, "migration must not force recomputation");
-    assert!(window.disk_hits > 0, "migrated records serve from disk");
-    assert_eq!(emitted(&migrated), emitted(&cold), "byte-identical output");
-    for kind in Kind::ALL {
-        assert!(
-            !dir.join(kind.file_name()).exists(),
-            "legacy {} removed after migration",
-            kind.file_name()
+    assert_recomputed_then_warm(&dir, &design, &cold, cold_window);
+    for (path, bytes) in &legacy_files {
+        assert_eq!(
+            &std::fs::read(path).expect("v2 file still present"),
+            bytes,
+            "{} is left untouched",
+            path.display()
         );
     }
-    assert!(!shard_files(&dir).is_empty(), "sharded layout in place");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
