@@ -12,9 +12,7 @@
 //! key is exactly the truth-table portion of the bitstream — consistent
 //! with the LUT-oriented security analyses the paper builds on [3, 4].
 
-use crate::engine::SatEngine;
 use crate::oracle::{query, OracleResponse};
-use crate::portfolio::{PortfolioEngine, PortfolioStats};
 use crate::solver::{Lit, SatResult, Solver, Var};
 use alice_intern::Symbol;
 use alice_netlist::lutmap::{MappedNetlist, MappedSrc};
@@ -100,10 +98,6 @@ pub struct AttackReport {
     /// Every distinguishing input pattern, in discovery order (pair with
     /// [`Dip::named_inputs`]/[`Dip::named_state`] for readable traces).
     pub dip_trace: Vec<Dip>,
-    /// Portfolio statistics when the attack raced diversified solver
-    /// configurations ([`sat_attack_portfolio`] with `n > 1`); `None`
-    /// for the classic single-solver attack.
-    pub portfolio: Option<PortfolioStats>,
 }
 
 /// Attack budget limits.
@@ -146,7 +140,7 @@ struct Encoder<'a> {
 }
 
 impl<'a> Encoder<'a> {
-    fn new(s: &mut dyn SatEngine, mapped: &'a MappedNetlist) -> Self {
+    fn new(s: &mut Solver, mapped: &'a MappedNetlist) -> Self {
         let const_true = s.new_var();
         s.add_clause(&[Lit::pos(const_true)]);
         Encoder {
@@ -156,7 +150,7 @@ impl<'a> Encoder<'a> {
         }
     }
 
-    fn alloc_keys(&self, s: &mut dyn SatEngine) -> Vec<Vec<Var>> {
+    fn alloc_keys(&self, s: &mut Solver) -> Vec<Vec<Var>> {
         self.mapped
             .luts
             .iter()
@@ -176,7 +170,7 @@ impl<'a> Encoder<'a> {
     /// still needs clauses is deduplicated through the structural hash.
     fn encode_copy(
         &mut self,
-        s: &mut dyn SatEngine,
+        s: &mut Solver,
         keys: &[Vec<Var>],
         pi: &[Lit],
         state: &[Lit],
@@ -283,7 +277,7 @@ impl<'a> Encoder<'a> {
     }
 
     /// Constrains a copy's observables to the oracle response.
-    fn pin_outputs(&self, s: &mut dyn SatEngine, copy: &Copy, resp: &OracleResponse) {
+    fn pin_outputs(&self, s: &mut Solver, copy: &Copy, resp: &OracleResponse) {
         for (&l, &b) in copy.outs.iter().zip(&resp.outputs) {
             s.add_clause(&[if b { l } else { l.negate() }]);
         }
@@ -313,55 +307,16 @@ impl<'a> Encoder<'a> {
 /// # }
 /// ```
 pub fn sat_attack(mapped: &MappedNetlist, budget: AttackBudget) -> AttackReport {
-    let mut s = Solver::new();
-    let mut ks = Solver::new();
-    run_attack(mapped, budget, &mut s, &mut ks)
-}
-
-/// [`sat_attack`], racing `n` diversified solver configurations inside
-/// both the miter and the key engine ([`PortfolioEngine`]); the report's
-/// `portfolio` field carries the combined win counts and winner effort.
-///
-/// `n <= 1` is exactly [`sat_attack`]. Any `n` recovers the same
-/// canonical key (see the extraction notes inside the attack loop) —
-/// the portfolio changes wall-clock, never answers.
-pub fn sat_attack_portfolio(
-    mapped: &MappedNetlist,
-    budget: AttackBudget,
-    n: usize,
-) -> AttackReport {
-    if n <= 1 {
-        return sat_attack(mapped, budget);
-    }
-    let mut s = PortfolioEngine::new(n);
-    let mut ks = PortfolioEngine::new(n);
-    let mut report = run_attack(mapped, budget, &mut s, &mut ks);
-    let mut stats = s.portfolio_stats();
-    let kstats = ks.portfolio_stats();
-    for (w, kw) in stats.wins.iter_mut().zip(&kstats.wins) {
-        *w += kw;
-    }
-    stats.conflicts += kstats.conflicts;
-    stats.learned += kstats.learned;
-    report.portfolio = Some(stats);
-    report
-}
-
-fn run_attack(
-    mapped: &MappedNetlist,
-    budget: AttackBudget,
-    s: &mut dyn SatEngine,
-    ks: &mut dyn SatEngine,
-) -> AttackReport {
     let start = Instant::now();
     let key_bits: usize = mapped.luts.iter().map(|l| 1usize << l.inputs.len()).sum();
     let n_st = mapped.dffs.len();
 
-    // Miter engine: two keyed copies over shared inputs, outputs differ.
-    s.set_budget(Some(budget.conflicts_per_call));
-    let mut enc = Encoder::new(&mut *s, mapped);
-    let k1 = enc.alloc_keys(&mut *s);
-    let k2 = enc.alloc_keys(&mut *s);
+    // Miter solver: two keyed copies over shared inputs, outputs differ.
+    let mut s = Solver::new();
+    s.conflict_budget = Some(budget.conflicts_per_call);
+    let mut enc = Encoder::new(&mut s, mapped);
+    let k1 = enc.alloc_keys(&mut s);
+    let k2 = enc.alloc_keys(&mut s);
     // The shared miter inputs carry the network's own port and register
     // names, so a satisfying assignment reads back as a named DIP.
     // (`dff_names` is maintained independently of the `dffs` list the
@@ -379,8 +334,8 @@ fn run_attack(
         .collect();
     let pi_lits: Vec<Lit> = pi.iter().map(|&v| Lit::pos(v)).collect();
     let st_lits: Vec<Lit> = st.iter().map(|&v| Lit::pos(v)).collect();
-    let c1 = enc.encode_copy(&mut *s, &k1, &pi_lits, &st_lits);
-    let c2 = enc.encode_copy(&mut *s, &k2, &pi_lits, &st_lits);
+    let c1 = enc.encode_copy(&mut s, &k1, &pi_lits, &st_lits);
+    let c2 = enc.encode_copy(&mut s, &k2, &pi_lits, &st_lits);
     // d_i -> (o1_i xor o2_i); assert OR d_i.
     let mut diff_lits = Vec::new();
     for (&a, &b) in c1
@@ -397,11 +352,12 @@ fn run_attack(
     }
     s.add_clause(&diff_lits);
 
-    // Key engine: accumulates I/O constraints on a single key copy;
+    // Key solver: accumulates I/O constraints on a single key copy;
     // solved at the end to extract a consistent bitstream.
-    ks.set_budget(Some(budget.conflicts_per_call));
-    let mut kenc = Encoder::new(&mut *ks, mapped);
-    let kk = kenc.alloc_keys(&mut *ks);
+    let mut ks = Solver::new();
+    ks.conflict_budget = Some(budget.conflicts_per_call);
+    let mut kenc = Encoder::new(&mut ks, mapped);
+    let kk = kenc.alloc_keys(&mut ks);
     // Key variables carry their truth-table-bit identities, so the key
     // solver's model is the recovered bitstream by name.
     for (&v, name) in kk.iter().flatten().zip(key_bit_names(mapped)) {
@@ -419,7 +375,6 @@ fn run_attack(
                 conflicts: s.stats().conflicts + ks.stats().conflicts,
                 millis: start.elapsed().as_millis(),
                 dip_trace,
-                portfolio: None,
             };
         }
         match s.solve() {
@@ -431,7 +386,6 @@ fn run_attack(
                     conflicts: s.stats().conflicts + ks.stats().conflicts,
                     millis: start.elapsed().as_millis(),
                     dip_trace,
-                    portfolio: None,
                 }
             }
             SatResult::Unsat => break,
@@ -449,14 +403,14 @@ fn run_attack(
                 for keys in [&k1, &k2] {
                     let fpi = enc.fixed_inputs(&dip_pi);
                     let fst = enc.fixed_inputs(&dip_st);
-                    let copy = enc.encode_copy(&mut *s, keys, &fpi, &fst);
-                    enc.pin_outputs(&mut *s, &copy, &resp);
+                    let copy = enc.encode_copy(&mut s, keys, &fpi, &fst);
+                    enc.pin_outputs(&mut s, &copy, &resp);
                 }
-                // And the key engine learns the same I/O pair.
+                // And the key solver learns the same I/O pair.
                 let fpi = kenc.fixed_inputs(&dip_pi);
                 let fst = kenc.fixed_inputs(&dip_st);
-                let copy = kenc.encode_copy(&mut *ks, &kk, &fpi, &fst);
-                kenc.pin_outputs(&mut *ks, &copy, &resp);
+                let copy = kenc.encode_copy(&mut ks, &kk, &fpi, &fst);
+                kenc.pin_outputs(&mut ks, &copy, &resp);
             }
         }
     }
@@ -465,10 +419,9 @@ fn run_attack(
     // consistent keys differ on any input, and the true key is itself
     // consistent — so the consistent set is exactly the functional
     // equivalence class of the true key, independent of which DIP
-    // sequence (or portfolio configuration) got us here. Extracting its
-    // lexicographically smallest member in `key_bit_names` order thus
-    // yields a canonical bitstream: the same key for `--portfolio 1`
-    // and `--portfolio N`.
+    // sequence got us here. Extracting its lexicographically smallest
+    // member in `key_bit_names` order thus yields a canonical
+    // bitstream: every run recovers the same key bit for bit.
     let verdict = ks.solve();
     // Snapshot before extraction so the reported effort covers exactly
     // the verdict-producing search.
@@ -481,7 +434,7 @@ fn run_attack(
             // backs every fixed literal, so it stays cached. Budget off:
             // these queries are easy and must not flake a canonical key
             // into a nondeterministic one.
-            ks.set_budget(None);
+            ks.conflict_budget = None;
             let order: Vec<Var> = kk.iter().flatten().copied().collect();
             let mut witness: Vec<bool> = order
                 .iter()
@@ -522,7 +475,6 @@ fn run_attack(
         conflicts,
         millis: start.elapsed().as_millis(),
         dip_trace,
-        portfolio: None,
     }
 }
 
@@ -651,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_attack_recovers_the_same_canonical_key() {
+    fn reruns_recover_the_same_canonical_key() {
         let m = mapped(
             "module m(input wire [3:0] a, input wire [3:0] b, output wire [4:0] y);\
              assign y = {1'b0, a} + {1'b0, b}; endmodule",
@@ -659,21 +611,14 @@ mod tests {
         );
         let r1 = sat_attack(&m, AttackBudget::default());
         let r1b = sat_attack(&m, AttackBudget::default());
-        let r3 = sat_attack_portfolio(&m, AttackBudget::default(), 3);
         let keys = |r: &AttackReport| match &r.status {
             AttackStatus::KeyRecovered { keys } => keys.clone(),
             AttackStatus::Resilient => panic!("adder must break"),
         };
-        // Lex-min extraction is canonical: reruns and portfolios agree
-        // bit-for-bit, and the canonical key is still correct.
+        // Lex-min extraction is canonical: reruns agree bit-for-bit, and
+        // the canonical key is still correct.
         assert_eq!(keys(&r1), keys(&r1b));
-        assert_eq!(keys(&r1), keys(&r3));
-        assert!(exhaustive_equiv(&m, &keys(&r3)));
-        assert!(r1.portfolio.is_none(), "classic attack reports no race");
-        let p = r3.portfolio.expect("portfolio attack reports its race");
-        assert_eq!(p.configs, 3);
-        assert_eq!(p.wins.len(), 3);
-        assert!(p.wins.iter().sum::<u64>() > 0, "someone answered");
+        assert!(exhaustive_equiv(&m, &keys(&r1)));
     }
 
     #[test]

@@ -6,11 +6,8 @@
 //! design, the isolated fabric, and a fully-scanned unlocked oracle. Here:
 //!
 //! * [`solver`] — the CDCL solver (watched literals, 1UIP learning,
-//!   VSIDS, Luby restarts), tunable via [`SolverConfig`],
-//! * [`engine`] — the pluggable [`SatEngine`] boundary every SAT
-//!   consumer in the flow (CEC, verify, attack) is written against,
-//! * [`portfolio`] — a [`PortfolioEngine`] racing N diversified solver
-//!   configs with cooperative cancellation; first definitive answer wins,
+//!   VSIDS, Luby restarts, LBD-scored clause-database reduction) that
+//!   every SAT consumer in the flow (CEC, verify, attack) calls directly,
 //! * [`oracle`] — software oracle over a mapped LUT network with scan
 //!   access (DFFs as pseudo-I/O),
 //! * [`attack`] — the DIP-driven attack loop recovering the bitstream,
@@ -31,15 +28,9 @@
 //! ```
 
 pub mod attack;
-pub mod engine;
 pub mod oracle;
-pub mod portfolio;
 pub mod solver;
 
-pub use attack::{
-    key_bit_names, sat_attack, sat_attack_portfolio, AttackBudget, AttackReport, AttackStatus, Dip,
-};
-pub use engine::{CancelToken, EngineStats, SatEngine};
+pub use attack::{key_bit_names, sat_attack, AttackBudget, AttackReport, AttackStatus, Dip};
 pub use oracle::{exhaustive_equiv, output_bit_names, query, state_bit_names, OracleResponse};
-pub use portfolio::{diversified_configs, PortfolioEngine, PortfolioStats};
-pub use solver::{SatResult, Solver, SolverConfig, Var};
+pub use solver::{EngineStats, SatResult, Solver, Var};

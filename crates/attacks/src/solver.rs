@@ -20,17 +20,16 @@
 //! later queries on the same formula start warm.
 
 use alice_intern::Symbol;
-use alice_par::CancelToken;
 use std::collections::HashMap;
 use std::fmt;
 
 static SAT_CONFLICTS: alice_obs::Counter = alice_obs::Counter::new(
     "alice_sat_conflicts_total",
-    "CDCL conflicts across all solver instances (including discarded racers)",
+    "CDCL conflicts across all solver instances",
 );
 static SAT_LEARNED: alice_obs::Counter = alice_obs::Counter::new(
     "alice_sat_learned_total",
-    "Learned clauses across all solver instances (including discarded racers)",
+    "Learned clauses across all solver instances",
 );
 static SAT_PROPAGATIONS: alice_obs::Counter = alice_obs::Counter::new(
     "alice_sat_propagations_total",
@@ -125,50 +124,6 @@ enum Assign {
     Unassigned,
     True,
     False,
-}
-
-/// Search-heuristic knobs for portfolio diversification.
-///
-/// The default value reproduces the solver's historical behavior bit for
-/// bit — `Solver::new()` and `Solver::with_config(SolverConfig::default())`
-/// take identical search trajectories. Every field only steers
-/// *heuristics* (decision order, restart cadence, initial polarity);
-/// verdicts and models stay sound for any setting, which is what makes
-/// racing differently-configured solvers on one formula correct.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverConfig {
-    /// VSIDS activity decay per conflict (MiniSat's `var-decay`).
-    pub var_decay: f64,
-    /// Base interval of the Luby restart sequence, in conflicts.
-    pub restart_base: u64,
-    /// Initial saved phase for fresh variables (`false` = historical
-    /// negative-polarity-first behavior).
-    pub invert_phase: bool,
-    /// Seed for a tiny deterministic perturbation of initial variable
-    /// activities, breaking decision-order ties differently per config.
-    /// `0` disables the perturbation entirely.
-    pub seed: u64,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            var_decay: 0.95,
-            restart_base: 64,
-            invert_phase: false,
-            seed: 0,
-        }
-    }
-}
-
-/// splitmix64: the workspace's stand-in PRNG (also used by the sweep's
-/// signature simulation) — here it seeds activity perturbations.
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Indexed max-heap over variable activities (MiniSat's `order_heap`),
@@ -286,6 +241,34 @@ const REDUCE_BASE: u64 = 2_000;
 /// Clause-activity decay per conflict (MiniSat's `clause-decay`).
 const CLAUSE_DECAY: f64 = 0.999;
 
+/// VSIDS activity decay per conflict (MiniSat's `var-decay`).
+const VAR_DECAY: f64 = 0.95;
+
+/// Base interval of the Luby restart sequence, in conflicts.
+const RESTART_BASE: u64 = 64;
+
+/// Cumulative search-effort statistics of a [`Solver`] (see
+/// [`Solver::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Conflicts over the solver's lifetime.
+    pub conflicts: u64,
+    /// Learned clauses, including learned units.
+    pub learned: u64,
+    /// Literals dequeued by unit propagation.
+    pub propagations: u64,
+    /// Luby restarts.
+    pub restarts: u64,
+    /// `solve_with` calls that carried a non-empty assumption set — the
+    /// incremental queries of the keyed-miter CEC path.
+    pub assumption_solves: u64,
+    /// Learned clauses surviving clause-database reductions, summed
+    /// over every reduction pass.
+    pub learned_kept: u64,
+    /// Learned clauses dropped by clause-database reductions.
+    pub learned_dropped: u64,
+}
+
 /// The CDCL solver.
 ///
 /// # Example
@@ -350,12 +333,6 @@ pub struct Solver {
     /// Learned clauses dropped by clause-database reductions
     /// (statistics).
     pub total_learned_dropped: u64,
-    /// Heuristic configuration (see [`SolverConfig`]).
-    config: SolverConfig,
-    /// Cooperative cancellation for portfolio racing: polled once per
-    /// search-loop iteration, so a losing solver stops within one
-    /// propagation round — well under one restart.
-    cancel: Option<CancelToken>,
     /// Diagnostic labels: problem-level names (interned port, register,
     /// or key-bit names) attached to CNF variables. Sparse — only the
     /// variables an encoder chooses to label carry one.
@@ -372,38 +349,14 @@ impl Solver {
         }
     }
 
-    /// Creates an empty solver with diversified heuristics; the default
-    /// config reproduces [`Solver::new`] exactly.
-    pub fn with_config(config: SolverConfig) -> Self {
-        Solver {
-            act_inc: 1.0,
-            cla_inc: 1.0,
-            config,
-            ..Solver::default()
-        }
-    }
-
-    /// Installs (or clears) the shared cancellation token. A cancelled
-    /// solve returns [`SatResult::Unknown`] with the solver state intact.
-    pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
-        self.cancel = cancel;
-    }
-
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assigns.len() as u32);
         self.assigns.push(Assign::Unassigned);
-        self.phase.push(self.config.invert_phase);
+        self.phase.push(false);
         self.level.push(0);
         self.reason.push(None);
-        // A seeded config perturbs initial activities by strictly less
-        // than one bump, so it only permutes otherwise-tied decisions.
-        self.activity.push(if self.config.seed == 0 {
-            0.0
-        } else {
-            let mut x = self.config.seed ^ (u64::from(v.0) << 17);
-            splitmix64(&mut x) as f64 / u64::MAX as f64 * 1e-3
-        });
+        self.activity.push(0.0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.grow();
@@ -845,9 +798,7 @@ impl Solver {
             self.total_learned_dropped,
         );
         let res = self.solve_with_inner(assumptions);
-        // Process-wide effort mirror. Unlike `EngineStats` (winner-only
-        // by contract), these count every solve that ran, including
-        // discarded portfolio racers.
+        // Process-wide effort mirror, summed over every solver instance.
         SAT_CONFLICTS.add(self.total_conflicts - before.0);
         SAT_LEARNED.add(self.total_learned - before.1);
         SAT_PROPAGATIONS.add(self.total_propagations - before.2);
@@ -872,17 +823,8 @@ impl Solver {
         self.maybe_reduce();
         self.conflicts = 0;
         let mut restart_idx = 0u64;
-        let mut restart_limit = self.config.restart_base * luby(restart_idx);
+        let mut restart_limit = RESTART_BASE * luby(restart_idx);
         loop {
-            // Cooperative cancellation (portfolio racing): one relaxed
-            // atomic load per propagation round, losers stop well within
-            // one restart. State is unwound so the solver stays usable.
-            if let Some(cancel) = &self.cancel {
-                if cancel.is_cancelled() {
-                    self.cancel_until(0);
-                    return SatResult::Unknown;
-                }
-            }
             match self.propagate() {
                 Some(confl) => {
                     self.conflicts += 1;
@@ -927,12 +869,11 @@ impl Solver {
                         self.learned_live += 1;
                         self.enqueue(unit, Some(idx));
                     }
-                    self.act_inc /= self.config.var_decay;
+                    self.act_inc /= VAR_DECAY;
                     self.cla_inc /= CLAUSE_DECAY;
                     if self.conflicts >= restart_limit {
                         restart_idx += 1;
-                        restart_limit =
-                            self.conflicts + self.config.restart_base * luby(restart_idx);
+                        restart_limit = self.conflicts + RESTART_BASE * luby(restart_idx);
                         self.total_restarts += 1;
                         self.cancel_until(0);
                         self.maybe_reduce();
@@ -982,6 +923,19 @@ impl Solver {
             Assign::Unassigned => None,
             Assign::True => Some(true),
             Assign::False => Some(false),
+        }
+    }
+
+    /// Search-effort totals over the solver's lifetime.
+    pub fn stats(&self) -> EngineStats {
+        EngineStats {
+            conflicts: self.total_conflicts,
+            learned: self.total_learned,
+            propagations: self.total_propagations,
+            restarts: self.total_restarts,
+            assumption_solves: self.total_assumption_solves,
+            learned_kept: self.total_learned_kept,
+            learned_dropped: self.total_learned_dropped,
         }
     }
 }
@@ -1193,45 +1147,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_solve_returns_unknown_and_stays_usable() {
-        let mut s = Solver::new();
-        pigeonhole(&mut s, 5, 4);
-        let token = CancelToken::new();
-        token.cancel();
-        s.set_cancel(Some(token));
-        assert_eq!(s.solve(), SatResult::Unknown, "cancelled before searching");
-        // Clearing the token restores normal solving on intact state.
-        s.set_cancel(None);
-        assert_eq!(s.solve(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn diversified_configs_agree_on_verdicts() {
-        for config in [
-            SolverConfig::default(),
-            SolverConfig {
-                var_decay: 0.85,
-                restart_base: 32,
-                invert_phase: true,
-                seed: 0xA11C_E001,
-            },
-            SolverConfig {
-                var_decay: 0.975,
-                restart_base: 256,
-                invert_phase: false,
-                seed: 7,
-            },
-        ] {
-            let mut s = Solver::with_config(config);
-            pigeonhole(&mut s, 5, 4);
-            assert_eq!(s.solve(), SatResult::Unsat, "{config:?}");
-            let mut s = Solver::with_config(config);
-            pigeonhole(&mut s, 4, 4);
-            assert_eq!(s.solve(), SatResult::Sat, "{config:?}");
-        }
-    }
-
-    #[test]
     fn clause_db_reduction_preserves_verdicts_and_state() {
         // Force a reduction at every restart point: the verdict must be
         // unaffected and the solver must stay usable afterwards.
@@ -1273,7 +1188,7 @@ mod tests {
             assert_eq!(s.solve_with(&[Lit::neg(sel)]), SatResult::Sat);
             assert_eq!(s.value(sel), Some(false));
         }
-        assert_eq!(s.total_assumption_solves, 8);
+        assert_eq!(s.stats().assumption_solves, 8);
     }
 
     #[test]

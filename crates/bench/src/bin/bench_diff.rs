@@ -20,9 +20,8 @@
 //! so phases whose baseline is under `RELIABLE_MS` are reported but
 //! never gate — only phases long enough to average over scheduler noise
 //! can fail the build. Effectiveness fractions — any `*_improvement`
-//! leaf, like the
-//! cache's `warm_vs_cold_improvement` or the CEC bench's
-//! `portfolio_improvement` — are machine-independent and compared
+//! leaf, like the cache's `warm_vs_cold_improvement` or the CEC bench's
+//! `incremental_improvement` — are machine-independent and compared
 //! absolutely: a drop of more than `threshold` (as a fraction) fails,
 //! and so does a baseline `*_improvement` leaf the candidate no longer
 //! writes — retiring a gate leaf takes a reviewed edit of the baseline.
@@ -333,25 +332,27 @@ mod tests {
     const CEC: &str = r#"{
   "schema": "alice-cec-bench-v1",
   "samples": 3,
-  "portfolio": 4,
   "benchmarks": {
-    "GCD": { "verify_p1_ms": 40.0, "verify_pN_ms": 30.0 },
-    "IIR": { "verify_p1_ms": 9000.0, "verify_pN_ms": 6000.0 }
+    "GCD": { "verify_p1_ms": 40.0, "sweep_incremental_ms": 300.0 },
+    "DES3": { "verify_p1_ms": 1500.0, "sweep_incremental_ms": 3800.0 }
   },
-  "hardest": { "design": "IIR", "p1_ms": 9000.0, "pN_ms": 6000.0, "portfolio_improvement": 0.333 }
+  "wrong_key_sweep": { "design": "DES3", "keys": 16, "fresh_ms": 21000.0, "incremental_ms": 3800.0, "incremental_improvement": 0.819 }
 }"#;
 
     #[test]
     fn cec_bench_files_gate_on_any_improvement_leaf() {
         diff_files("cec-ok", CEC, CEC, 0.25).expect("identical cec files pass");
-        let cand = CEC.replace("0.333", "0.010");
+        let cand = CEC.replace("0.819", "0.010");
         let err = diff_files("cec-impr", CEC, &cand, 0.25).expect_err("must fail");
-        assert!(err.contains("hardest.portfolio_improvement"), "{err}");
+        assert!(
+            err.contains("wrong_key_sweep.incremental_improvement"),
+            "{err}"
+        );
         let cand = CEC.replace(
-            "\"verify_pN_ms\": 6000.0 }\n  }",
-            "\"verify_pN_ms\": 60000.0 }\n  }",
+            "\"sweep_incremental_ms\": 3800.0 }\n  }",
+            "\"sweep_incremental_ms\": 38000.0 }\n  }",
         );
         let err = diff_files("cec-ms", CEC, &cand, 0.25).expect_err("must fail");
-        assert!(err.contains("verify_pN_ms"), "{err}");
+        assert!(err.contains("DES3.sweep_incremental_ms"), "{err}");
     }
 }

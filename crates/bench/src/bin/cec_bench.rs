@@ -1,46 +1,38 @@
-//! `cec_bench` — the SAT-portfolio trajectory runner: times the verify
-//! stage's equivalence proof and the oracle-guided SAT attack under the
-//! classic single solver (`portfolio = 1`) and under a diversified
-//! portfolio race (`portfolio = N`), writing `BENCH_cec.json` so the
-//! `bench_diff` gate can hold the line on both absolute solve times and
-//! the portfolio's measured win.
+//! `cec_bench` — the CEC trajectory runner: times the verify stage's
+//! equivalence proof, its wrong-key corruptibility sweep, and the
+//! oracle-guided SAT attack, writing `BENCH_cec.json` so the
+//! `bench_diff` gate can hold the line on absolute solve times and on
+//! the incremental sweep's measured win.
 //!
 //! ```text
-//! cec_bench [--out BENCH_cec.json] [--portfolio N] [--samples K] [--smoke]
+//! cec_bench [--out BENCH_cec.json] [--samples K] [--smoke] [--all]
 //! ```
 //!
 //! Sections:
 //!
-//! * `benchmarks.<name>.verify_p1_ms` / `verify_pN_ms` — verify-stage
-//!   time (miter build + sweep + proof) for the SAT-heavy picks
-//!   (GCD, DES3), single solver vs. portfolio race,
-//! * `benchmarks.<name>.attack_p1_ms` / `attack_pN_ms` — SAT-attack
-//!   time against the flow's selected fabric contents (skipped for
-//!   fabrics beyond the attack budget class),
+//! * `benchmarks.<name>.verify_p1_ms` — verify-stage time (miter
+//!   build, sweep and proof) for the SAT-heavy picks (GCD, DES3),
+//! * `benchmarks.<name>.attack_p1_ms` — SAT-attack time against the
+//!   flow's selected fabric contents (skipped for fabrics beyond the
+//!   attack budget class),
 //! * `benchmarks.<name>.sweep_fresh_ms` / `sweep_incremental_ms` —
 //!   verify stage with a 16-wrong-key corruptibility sweep on one
 //!   worker and a cold store, fresh pinned miter per key
 //!   (`incremental_cec: false`) vs one assumption-parameterized keyed
 //!   miter answering every key (`incremental_cec: true`),
-//! * `hardest` — the headline number: the slowest `verify_p1_ms` miter
-//!   re-stated with its portfolio time and the improvement fraction
-//!   `(p1 - pN) / p1`, which `bench_diff` compares absolutely,
 //! * `wrong_key_sweep` — the incremental headline: the slowest fresh
 //!   sweep re-stated with its incremental time and
-//!   `incremental_improvement = (fresh - incremental) / fresh`, also
-//!   `bench_diff`-gated absolutely (target ≥ 30%).
+//!   `incremental_improvement = (fresh - incremental) / fresh`, which
+//!   `bench_diff` compares absolutely (target ≥ 30%).
 //!
 //! `--all` adds IIR, whose redacted-multiplier miter takes minutes per
-//! sample — far past the CI smoke budget, and below ~4 real cores the
-//! race only time-slices its sweep-dominated proof (no diversified
-//! member does less total work there, unlike GCD/DES3 where skipping
-//! the sweep wins outright), so IIR stays out of the committed,
-//! CI-gated baseline and is measured on demand on big machines.
+//! sample — far past the CI smoke budget — so it stays out of the
+//! committed, CI-gated baseline and is measured on demand.
 //!
 //! Every flow run gets a fresh private [`DesignDb`], so no sample is
 //! served a cached proof. `--smoke` shrinks to one sample for CI.
 
-use alice_attacks::{sat_attack, sat_attack_portfolio, AttackBudget};
+use alice_attacks::{sat_attack, AttackBudget};
 use alice_benchmarks::Benchmark;
 use alice_core::config::AliceConfig;
 use alice_core::db::DesignDb;
@@ -53,7 +45,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-const USAGE: &str = "usage: cec_bench [--out FILE] [--portfolio N] [--samples K] [--smoke] [--all]";
+const USAGE: &str = "usage: cec_bench [--out FILE] [--samples K] [--smoke] [--all]";
 
 /// The SAT-heavy picks in the gated baseline, lightest to heaviest miter.
 const PICKS: [&str; 2] = ["GCD", "DES3"];
@@ -74,16 +66,12 @@ fn best(v: Vec<f64>) -> f64 {
     v.into_iter().fold(f64::INFINITY, f64::min)
 }
 
-/// A verifying config for `b`: cfg1 where feasible, cfg2 otherwise
-/// (IIR has no cfg1 solution), with the given portfolio width. The race
-/// gets `portfolio` worker threads regardless of core count — on a
-/// loaded or small machine the members time-slice, which is exactly the
-/// deployment the portfolio must still win in.
-fn bench_config(b: &Benchmark, design: &Design, portfolio: usize) -> AliceConfig {
+/// A verifying single-worker config for `b`: cfg1 where feasible, cfg2
+/// otherwise (IIR has no cfg1 solution).
+fn bench_config(b: &Benchmark, design: &Design) -> AliceConfig {
     let mk = |base: AliceConfig| AliceConfig {
         verify: true,
-        portfolio,
-        jobs: portfolio.max(1),
+        jobs: 1,
         ..b.config(base)
     };
     let probe = Flow::new(AliceConfig {
@@ -118,7 +106,6 @@ fn verified_run(b: &Benchmark, design: &Design, cfg: &AliceConfig) -> FlowOutcom
 fn main() -> ExitCode {
     let mut out_path = "BENCH_cec.json".to_string();
     let mut samples = 3usize;
-    let mut portfolio = 4usize;
     let mut all = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -140,16 +127,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--portfolio" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 2 => portfolio = v,
-                _ => {
-                    eprintln!(
-                        "cec_bench: error: invalid value for `--portfolio` \
-                         (must be at least 2)\n{USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
             "--smoke" => samples = 1,
             "--all" => all = true,
             other => {
@@ -166,23 +143,13 @@ fn main() -> ExitCode {
     /// Wrong keys in the incremental-vs-fresh sweep comparison.
     const SWEEP_KEYS: usize = 16;
     let mut rows: Vec<(String, Vec<(String, f64)>)> = Vec::new();
-    let mut hardest: Option<(String, f64, f64)> = None;
     let mut sweep_hardest: Option<(String, f64, f64)> = None;
     for b in alice_benchmarks::suite() {
         if !(PICKS.contains(&b.name) || (all && SLOW_PICKS.contains(&b.name))) {
             continue;
         }
         let design = b.design().unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        let cfg1 = AliceConfig {
-            portfolio: 1,
-            jobs: 1,
-            ..bench_config(&b, &design, 1)
-        };
-        let cfg_n = AliceConfig {
-            portfolio,
-            jobs: portfolio,
-            ..cfg1.clone()
-        };
+        let cfg1 = bench_config(&b, &design);
         let mut first_run: Option<FlowOutcome> = None;
         let time_verify = |cfg: &AliceConfig, keep: &mut Option<FlowOutcome>| -> f64 {
             best(
@@ -197,19 +164,8 @@ fn main() -> ExitCode {
             )
         };
         let p1 = time_verify(&cfg1, &mut first_run);
-        let mut discard: Option<FlowOutcome> = None;
-        let pn = time_verify(&cfg_n, &mut discard);
-        eprintln!(
-            "cec_bench: {:<8} verify p1 {:>9.1} ms   p{portfolio} {:>9.1} ms",
-            b.name, p1, pn
-        );
-        let mut cells = vec![
-            ("verify_p1_ms".to_string(), p1),
-            (format!("verify_p{portfolio}_ms"), pn),
-        ];
-        if hardest.as_ref().is_none_or(|(_, h, _)| p1 > *h) {
-            hardest = Some((b.name.to_string(), p1, pn));
-        }
+        eprintln!("cec_bench: {:<8} verify {:>9.1} ms", b.name, p1);
+        let mut cells = vec![("verify_p1_ms".to_string(), p1)];
 
         // Incremental wrong-key sweep vs the fresh-per-key baseline:
         // 16 wrong keys on ONE worker and a cold private db per run, so
@@ -220,8 +176,6 @@ fn main() -> ExitCode {
             let sweep_cfg = |incremental: bool| AliceConfig {
                 verify_wrong_keys: SWEEP_KEYS,
                 incremental_cec: incremental,
-                portfolio: 1,
-                jobs: 1,
                 ..cfg1.clone()
             };
             let sf = time_verify(&sweep_cfg(false), &mut None);
@@ -268,26 +222,13 @@ fn main() -> ExitCode {
                         })
                         .collect(),
                 );
-                let an = best(
-                    (0..samples)
-                        .map(|_| {
-                            let t = Instant::now();
-                            let r = sat_attack_portfolio(&network, budget, portfolio);
-                            assert!(r.key_bits > 0, "{}: empty key", b.name);
-                            t.elapsed().as_secs_f64() * 1e3
-                        })
-                        .collect(),
-                );
                 eprintln!(
-                    "cec_bench: {:<8} attack p1 {:>9.1} ms   p{portfolio} {:>9.1} ms \
-                     ({} LUTs)",
+                    "cec_bench: {:<8} attack {:>9.1} ms ({} LUTs)",
                     b.name,
                     a1,
-                    an,
                     network.lut_count()
                 );
                 cells.push(("attack_p1_ms".to_string(), a1));
-                cells.push((format!("attack_p{portfolio}_ms"), an));
             } else {
                 eprintln!(
                     "cec_bench: {:<8} attack skipped (fabrics beyond {LUT_CAP} LUTs)",
@@ -298,13 +239,6 @@ fn main() -> ExitCode {
         rows.push((b.name.to_string(), cells));
     }
 
-    let (hd, hp1, hpn) = hardest.expect("at least one pick ran");
-    let improvement = (hp1 - hpn) / hp1;
-    eprintln!(
-        "cec_bench: hardest miter {hd}: {hp1:.1} ms -> {hpn:.1} ms \
-         (portfolio improvement {:.1}%, target >= 20%)",
-        improvement * 100.0
-    );
     let (sd, sf, si) = sweep_hardest.expect("at least one gated pick swept");
     let sweep_improvement = (sf - si) / sf;
     eprintln!(
@@ -317,7 +251,6 @@ fn main() -> ExitCode {
     writeln!(json, "{{").expect("string write");
     writeln!(json, "  \"schema\": \"alice-cec-bench-v1\",").expect("string write");
     writeln!(json, "  \"samples\": {samples},").expect("string write");
-    writeln!(json, "  \"portfolio\": {portfolio},").expect("string write");
     writeln!(json, "  \"benchmarks\": {{").expect("string write");
     for (bi, (name, cells)) in rows.iter().enumerate() {
         let body: Vec<String> = cells
@@ -327,12 +260,6 @@ fn main() -> ExitCode {
         let comma = if bi + 1 < rows.len() { "," } else { "" };
         writeln!(json, "    \"{name}\": {{ {} }}{comma}", body.join(", ")).expect("string write");
     }
-    writeln!(json, "  }},").expect("string write");
-    writeln!(json, "  \"hardest\": {{").expect("string write");
-    writeln!(json, "    \"design\": \"{hd}\",").expect("string write");
-    writeln!(json, "    \"p1_ms\": {hp1:.3},").expect("string write");
-    writeln!(json, "    \"p{portfolio}_ms\": {hpn:.3},").expect("string write");
-    writeln!(json, "    \"portfolio_improvement\": {improvement:.4}").expect("string write");
     writeln!(json, "  }},").expect("string write");
     writeln!(json, "  \"wrong_key_sweep\": {{").expect("string write");
     writeln!(json, "    \"design\": \"{sd}\",").expect("string write");

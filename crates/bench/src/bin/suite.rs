@@ -5,7 +5,7 @@
 //! extra verification table.
 //!
 //! ```text
-//! suite [--jobs N] [--verify] [--wrong-keys N] [--portfolio N] [--store DIR]
+//! suite [--jobs N] [--verify] [--wrong-keys N] [--store DIR]
 //!       [--trace FILE] [--metrics FILE]
 //!     # omit --jobs to use all available cores
 //! ```
@@ -15,27 +15,22 @@
 //! FILE` writes a Prometheus-style text snapshot of the process-wide
 //! counters after the run.
 //!
-//! `--portfolio N` races N diversified solver configurations on every
-//! equivalence proof (first definitive verdict wins); the verification
-//! table then reports which configuration won each proof.
-//!
 //! `--store DIR` backs the matrix's shared `DesignDb` with the
 //! persistent artifact store at DIR, so a *re-run* of the suite (or any
 //! `alice --store DIR` invocation on the same designs) starts warm.
 
-use alice_bench::run_suite_portfolio;
+use alice_bench::run_suite_with_db;
 use alice_core::db::DesignDb;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: suite [--jobs N] [--verify] [--wrong-keys N] [--portfolio N] \
-                     [--store DIR] [--trace FILE] [--metrics FILE]";
+const USAGE: &str = "usage: suite [--jobs N] [--verify] [--wrong-keys N] [--store DIR] \
+                     [--trace FILE] [--metrics FILE]";
 
 struct SuiteArgs {
     jobs: usize,
     verify: bool,
     wrong_keys: usize,
-    portfolio: usize,
     store: Option<String>,
     trace: Option<String>,
     metrics: Option<String>,
@@ -46,7 +41,6 @@ fn parse_args() -> Result<SuiteArgs, String> {
         jobs: 0,
         verify: false,
         wrong_keys: 0,
-        portfolio: 1,
         store: None,
         trace: None,
         metrics: None,
@@ -72,7 +66,6 @@ fn parse_args() -> Result<SuiteArgs, String> {
                 args.wrong_keys = number("--wrong-keys", it.next(), 1)?;
                 args.verify = true;
             }
-            "--portfolio" => args.portfolio = number("--portfolio", it.next(), 1)?,
             "--store" => {
                 args.store = Some(
                     it.next()
@@ -143,13 +136,7 @@ fn main() -> ExitCode {
         },
         None => Arc::new(DesignDb::new()),
     };
-    let runs = run_suite_portfolio(
-        jobs,
-        args.wrong_keys,
-        args.verify,
-        args.portfolio,
-        db.clone(),
-    );
+    let runs = run_suite_with_db(jobs, args.wrong_keys, args.verify, db.clone());
     for run in &runs {
         println!(
             "── {} ─────────────────────────────────────────────",
@@ -245,17 +232,10 @@ fn main() -> ExitCode {
                 "── {} ─────────────────────────────────────────────",
                 run.label
             );
-            if args.portfolio > 1 {
-                println!(
-                    "{:<8} {:>12} {:>8} {:>10} {:>10} {:>11} {:>10}",
-                    "Design", "verdict", "points", "cnf vars", "corrupt", "verify t", "sat win"
-                );
-            } else {
-                println!(
-                    "{:<8} {:>12} {:>8} {:>10} {:>10} {:>11}",
-                    "Design", "verdict", "points", "cnf vars", "corrupt", "verify t"
-                );
-            }
+            println!(
+                "{:<8} {:>12} {:>8} {:>10} {:>10} {:>11}",
+                "Design", "verdict", "points", "cnf vars", "corrupt", "verify t"
+            );
             for out in &run.outcomes {
                 let r = &out.report;
                 let Some(v) = &out.verify else {
@@ -266,7 +246,7 @@ fn main() -> ExitCode {
                     .corruption_fraction()
                     .map(|f| format!("{f:.3}"))
                     .unwrap_or_else(|| "-".to_string());
-                print!(
+                println!(
                     "{:<8} {:>12} {:>8} {:>10} {:>10} {:>11}",
                     r.design,
                     v.outcome.to_string().split(' ').next().unwrap_or("-"),
@@ -275,16 +255,6 @@ fn main() -> ExitCode {
                     corrupt,
                     format!("{:.2?}", r.verify_time)
                 );
-                if args.portfolio > 1 {
-                    // Cached proofs race nothing, hence the "-" cell.
-                    let win = v
-                        .portfolio
-                        .as_ref()
-                        .map(|p| format!("cfg {}/{}", p.winner, p.configs))
-                        .unwrap_or_else(|| "-".to_string());
-                    print!(" {win:>10}");
-                }
-                println!();
             }
             println!();
         }

@@ -117,20 +117,7 @@ pub fn run_suite_with_db(
     verify: bool,
     db: Arc<DesignDb>,
 ) -> Vec<SuiteRun> {
-    run_suite_matrix(jobs, wrong_keys, verify, 1, Some(db))
-}
-
-/// Like [`run_suite_with_db`], racing `portfolio` diversified solver
-/// configurations on every equivalence proof ([`AliceConfig::portfolio`]);
-/// `portfolio = 1` is exactly [`run_suite_with_db`].
-pub fn run_suite_portfolio(
-    jobs: usize,
-    wrong_keys: usize,
-    verify: bool,
-    portfolio: usize,
-    db: Arc<DesignDb>,
-) -> Vec<SuiteRun> {
-    run_suite_matrix(jobs, wrong_keys, verify, portfolio, Some(db))
+    run_suite_matrix(jobs, wrong_keys, verify, Some(db))
 }
 
 /// Like [`run_suite_verified`] but with a *private* enabled [`DesignDb`]
@@ -138,7 +125,7 @@ pub fn run_suite_portfolio(
 /// honest "cold" baseline `pipeline_bench` measures the shared-db warm
 /// pass against.
 pub fn run_suite_private(jobs: usize, wrong_keys: usize, verify: bool) -> Vec<SuiteRun> {
-    run_suite_matrix(jobs, wrong_keys, verify, 1, None)
+    run_suite_matrix(jobs, wrong_keys, verify, None)
 }
 
 /// The matrix driver behind every suite entry point: `db = Some` shares
@@ -147,7 +134,6 @@ fn run_suite_matrix(
     jobs: usize,
     wrong_keys: usize,
     verify: bool,
-    portfolio: usize,
     db: Option<Arc<DesignDb>>,
 ) -> Vec<SuiteRun> {
     let benches = alice_benchmarks::suite();
@@ -170,7 +156,6 @@ fn run_suite_matrix(
             jobs: 1,
             verify,
             verify_wrong_keys: wrong_keys,
-            portfolio: portfolio.max(1),
             ..configs[ci].1.clone()
         };
         match &db {

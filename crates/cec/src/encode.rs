@@ -14,8 +14,7 @@
 //! registers to constants collapses each `cfg[in]` mux tree down to the
 //! configured LUT function before the solver ever sees it.
 
-use alice_attacks::engine::SatEngine;
-use alice_attacks::solver::{Lit, Var};
+use alice_attacks::solver::{Lit, Solver, Var};
 use alice_intern::Symbol;
 use alice_netlist::ir::{Lit as NLit, Netlist, Node};
 use std::collections::HashMap;
@@ -82,7 +81,7 @@ pub struct Encoder {
 
 impl Encoder {
     /// Creates an encoder over `s`, allocating its constant variable.
-    pub fn new(s: &mut dyn SatEngine) -> Self {
+    pub fn new(s: &mut Solver) -> Self {
         let t = Lit::pos(s.new_var());
         s.add_clause(&[t]);
         Encoder {
@@ -102,12 +101,12 @@ impl Encoder {
     }
 
     /// A fresh unconstrained literal.
-    pub fn fresh(&self, s: &mut dyn SatEngine) -> Lit {
+    pub fn fresh(&self, s: &mut Solver) -> Lit {
         Lit::pos(s.new_var())
     }
 
     /// Encodes `o = a AND b` (folded, structurally hashed).
-    pub fn and(&mut self, s: &mut dyn SatEngine, a: Lit, b: Lit) -> Lit {
+    pub fn and(&mut self, s: &mut Solver, a: Lit, b: Lit) -> Lit {
         if a == self.fls() || b == self.fls() || a == b.negate() {
             return self.fls();
         }
@@ -131,12 +130,12 @@ impl Encoder {
     }
 
     /// Encodes `o = a OR b` via De Morgan.
-    pub fn or(&mut self, s: &mut dyn SatEngine, a: Lit, b: Lit) -> Lit {
+    pub fn or(&mut self, s: &mut Solver, a: Lit, b: Lit) -> Lit {
         self.and(s, a.negate(), b.negate()).negate()
     }
 
     /// Encodes `o = a XOR b` (folded, negation-normalized, hashed).
-    pub fn xor(&mut self, s: &mut dyn SatEngine, a: Lit, b: Lit) -> Lit {
+    pub fn xor(&mut self, s: &mut Solver, a: Lit, b: Lit) -> Lit {
         if a == self.fls() {
             return b;
         }
@@ -179,7 +178,7 @@ impl Encoder {
     }
 
     /// Encodes `o = c ? t : e` (folded, select-polarity-normalized).
-    pub fn mux(&mut self, s: &mut dyn SatEngine, c: Lit, t: Lit, e: Lit) -> Lit {
+    pub fn mux(&mut self, s: &mut Solver, c: Lit, t: Lit, e: Lit) -> Lit {
         if c == self.tru || t == e {
             return t;
         }
@@ -242,7 +241,7 @@ impl Encoder {
     /// before calling this).
     pub fn encode(
         &mut self,
-        s: &mut dyn SatEngine,
+        s: &mut Solver,
         n: &Netlist,
         input_bind: &HashMap<Symbol, Vec<Lit>>,
         state_bind: &HashMap<Symbol, Lit>,
@@ -344,7 +343,7 @@ impl Encoder {
 
 /// Reads the model value of `l` after a SAT answer (`false` when the
 /// variable went unassigned, i.e. the formula does not constrain it).
-pub fn model_value(s: &dyn SatEngine, l: Lit) -> bool {
+pub fn model_value(s: &Solver, l: Lit) -> bool {
     s.value(l.var()).unwrap_or(false) ^ l.is_neg()
 }
 
@@ -356,7 +355,7 @@ pub fn lit_var(l: Lit) -> Var {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alice_attacks::solver::{SatResult, Solver};
+    use alice_attacks::solver::SatResult;
 
     #[test]
     fn constant_folding_mirrors_netlist_builders() {

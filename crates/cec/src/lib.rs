@@ -15,9 +15,8 @@
 //!   scan-model next-state checks, key/bitstream inputs pinnable or
 //!   free), [`CecResult`] verdicts with [`Counterexample`] witnesses, the
 //!   exact per-output [`Corruption`] analysis behind the wrong-key
-//!   corruptibility sweep, and [`prove_equivalent_raced`] — a portfolio
-//!   race of diversified solver/encoding configurations with cooperative
-//!   cancellation, first definitive verdict wins,
+//!   corruptibility sweep, and the assumption-parameterized
+//!   [`KeyedMiter`] that answers many keys on one long-lived solver,
 //! * [`sweep`] — ABC-style SAT sweeping (signature classes from 128-bit
 //!   word simulation, per-pair assumption proofs, equality lemmas) that
 //!   makes redacted-arithmetic miters tractable; proven lemmas are keyed
@@ -64,11 +63,11 @@ pub mod encode;
 pub mod miter;
 pub mod sweep;
 
-pub use alice_attacks::engine::EngineStats;
+pub use alice_attacks::EngineStats;
 pub use cache::{CachedCorruption, CachedProof};
 pub use encode::{EncodedDff, EncodedNetlist, Encoder};
 pub use miter::{
-    miter_fingerprint, prove_equivalent, prove_equivalent_raced, CecResult, Corruption,
-    Counterexample, KeyedMiter, Miter, MiterError, MiterOptions, RaceOutcome,
+    miter_fingerprint, prove_equivalent, CecResult, Corruption, Counterexample, KeyedMiter, Miter,
+    MiterError, MiterOptions,
 };
 pub use sweep::SweepStats;

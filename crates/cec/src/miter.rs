@@ -16,12 +16,9 @@
 
 use crate::encode::{model_value, Encoder};
 use crate::sweep::{const_sig, random_sig, sweep, ConeHash, Sig, SweepSide, SweepStats};
-use alice_attacks::engine::{EngineStats, SatEngine};
-use alice_attacks::portfolio::{diversified_configs, PortfolioEngine, PortfolioStats};
-use alice_attacks::solver::{Lit, SatResult, Solver, SolverConfig};
+use alice_attacks::solver::{EngineStats, Lit, SatResult, Solver};
 use alice_intern::{StableHasher, Symbol};
 use alice_netlist::ir::{Netlist, NodeId};
-use alice_par::{race, CancelToken};
 use alice_store::Store;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -144,30 +141,16 @@ pub struct MiterOptions {
     /// Compare next-state functions of paired flip-flops (the scan
     /// model). Disable only for purely combinational netlists.
     pub check_next_state: bool,
-    /// Solver conflict budget; `None` = unlimited.
+    /// Solver conflict budget per proof query; `None` = unlimited. The
+    /// SAT sweep that runs at build time uses its own fixed per-pair
+    /// budget.
     pub conflict_budget: Option<u64>,
-    /// Run the SAT-sweeping preprocessing pass (prove matching internal
-    /// nodes equal bottom-up before attempting the outputs). Nearly
-    /// always a large win; disable only to measure its effect.
-    pub sweep: bool,
-    /// Per-candidate-pair conflict budget during sweeping. Pairs the
-    /// budget gives up on are simply left unmerged.
-    pub sweep_conflict_budget: Option<u64>,
-    /// Heuristic configuration of the underlying CDCL solver. Steers
-    /// wall-clock only, never verdicts, so it is excluded from
-    /// [`miter_fingerprint`] just like the budgets.
-    pub solver_config: SolverConfig,
-    /// Cooperative cancellation token, observed both while sweeping at
-    /// build time and inside every solve call. A cancelled miter reports
-    /// [`CecResult::ResourceLimit`]; portfolio racing uses this to stop
-    /// losing configurations. Excluded from [`miter_fingerprint`].
-    pub cancel: Option<CancelToken>,
     /// Persistent store consulted for — and extended with — per-pair
     /// sweep lemmas (`alice_store::Kind::Lemma`): internal equivalences
     /// proven by any past sweep, keyed by boundary-labelled cone hashes
     /// so they transfer to novel miters over familiar sub-structures.
     /// A lemma only short-circuits a proof the sweep would have
-    /// completed anyway, so — like the budgets — this steers wall-clock,
+    /// completed anyway, so — like the budget — this steers wall-clock,
     /// never verdicts, and is excluded from [`miter_fingerprint`].
     pub lemma_store: Option<Arc<Store>>,
 }
@@ -181,10 +164,6 @@ impl Default for MiterOptions {
             pin_state: Vec::new(),
             check_next_state: true,
             conflict_budget: None,
-            sweep: true,
-            sweep_conflict_budget: Some(2_000),
-            solver_config: SolverConfig::default(),
-            cancel: None,
             lemma_store: None,
         }
     }
@@ -202,7 +181,7 @@ impl Default for MiterOptions {
 /// golden register (after [`MiterOptions::state_rename`]), whether
 /// next-state functions are compared, and the key-prefix set (it
 /// decides whether revised-only boundary material is tolerated as key
-/// or a build error). Solver budgets, sweep settings, and the
+/// or a build error). The solver budget and the
 /// [`MiterOptions::lemma_store`] handle are deliberately excluded: they
 /// affect how long a proof takes, never what verdict is sound, so a
 /// cached `Equivalent` stays valid across them.
@@ -371,7 +350,7 @@ fn boundary_label(role: &str, ord: u64, bit: u64) -> ConeHash {
 
 /// The composed miter, ready to solve.
 pub struct Miter {
-    engine: Box<dyn SatEngine>,
+    solver: Solver,
     shared_inputs: Vec<(Symbol, Vec<Lit>)>,
     shared_state: Vec<(Symbol, Lit)>,
     key_inputs: Vec<(Symbol, Vec<Lit>)>,
@@ -384,9 +363,9 @@ pub struct Miter {
     budget: Option<u64>,
 }
 
-/// The solver-agnostic miter body shared by [`Miter`] and [`KeyedMiter`]:
-/// boundary literals, difference points, and the sweep outcome, with the
-/// engine owned by the caller.
+/// The miter body shared by [`Miter`] and [`KeyedMiter`]: boundary
+/// literals, difference points, and the sweep outcome, with the solver
+/// owned by the caller.
 struct MiterCore {
     shared_inputs: Vec<(Symbol, Vec<Lit>)>,
     shared_state: Vec<(Symbol, Lit)>,
@@ -406,18 +385,18 @@ struct MiterCore {
 /// registers fold to constants at encode time. `keyed = true` leaves
 /// them as *free* variables instead, recording one assumption slot per
 /// register, so the caller can pose per-key queries as assumption sets
-/// over one long-lived engine. Free key slots label their sweep cones
+/// over one long-lived solver. Free key slots label their sweep cones
 /// exactly like ordinary free key state (`keystate` by revised ordinal):
 /// a lemma proven with the key free holds for every key, so it is sound
 /// wherever a free-key lemma is.
 fn assemble(
-    s: &mut dyn SatEngine,
+    s: &mut Solver,
     a: &Netlist,
     b: &Netlist,
     opts: &MiterOptions,
     keyed: bool,
 ) -> Result<MiterCore, MiterError> {
-    let mut enc = Encoder::new(&mut *s);
+    let mut enc = Encoder::new(s);
     // Deterministic signature words for the sweeping pass, built in
     // lockstep with the literal bindings: shared literal ⇒ shared
     // word, pinned literal ⇒ constant word.
@@ -444,7 +423,7 @@ fn assemble(
             Some(&w) if w != bits.len() => return Err(MiterError::WidthMismatch(name.to_string())),
             Some(_) => {}
         }
-        let lits: Vec<Lit> = bits.iter().map(|_| enc.fresh(&mut *s)).collect();
+        let lits: Vec<Lit> = bits.iter().map(|_| enc.fresh(s)).collect();
         let words: Vec<Sig> = bits.iter().map(|_| random_sig(&mut rng)).collect();
         bind_a.insert(*name, lits.clone());
         bind_b.insert(*name, lits.clone());
@@ -492,7 +471,7 @@ fn assemble(
         // Revised-only inputs (key or otherwise) stay free: a free
         // input can only produce spurious differences, never a false
         // Equivalent, so this is conservative for non-key extras.
-        let lits: Vec<Lit> = bits.iter().map(|_| enc.fresh(&mut *s)).collect();
+        let lits: Vec<Lit> = bits.iter().map(|_| enc.fresh(s)).collect();
         bind_b.insert(*name, lits.clone());
         wbind_b.insert(*name, bits.iter().map(|_| random_sig(&mut rng)).collect());
         labels_b.insert(
@@ -509,7 +488,7 @@ fn assemble(
     let mut wstate_a: HashMap<Symbol, Sig> = HashMap::new();
     let mut shared_state = Vec::new();
     for (gi, (_, name, _, _)) in a.dff_records().into_iter().enumerate() {
-        let q = enc.fresh(&mut *s);
+        let q = enc.fresh(s);
         state_a.insert(name, q);
         wstate_a.insert(name, random_sig(&mut rng));
         slabels_a.insert(name, boundary_label("state", gi as u64, 0));
@@ -539,7 +518,7 @@ fn assemble(
                 // caller supplies it per query), labelled like any
                 // other free key state so sweep lemmas stay sound
                 // for every key.
-                let q = enc.fresh(&mut *s);
+                let q = enc.fresh(s);
                 state_b.insert(name, q);
                 wstate_b.insert(name, random_sig(&mut rng));
                 slabels_b.insert(name, boundary_label("keystate", bi as u64, 0));
@@ -558,7 +537,7 @@ fn assemble(
             slabels_b.insert(name, slabels_a[&golden]);
             paired.push((golden, name));
         } else {
-            let q = enc.fresh(&mut *s);
+            let q = enc.fresh(s);
             state_b.insert(name, q);
             wstate_b.insert(name, random_sig(&mut rng));
             slabels_b.insert(name, boundary_label("keystate", bi as u64, 0));
@@ -585,43 +564,37 @@ fn assemble(
     let (enc_a, enc_b) = {
         let _span = alice_obs::span("cec.encode");
         (
-            enc.encode(&mut *s, a, &bind_a, &state_a),
-            enc.encode(&mut *s, b, &bind_b, &state_b),
+            enc.encode(s, a, &bind_a, &state_a),
+            enc.encode(s, b, &bind_b, &state_b),
         )
     };
 
     // --- SAT sweeping: stitch matching internal nodes together. ---
-    let sweep_stats = if opts.sweep {
-        sweep(
-            &mut *s,
-            &mut enc,
-            &SweepSide {
-                n: a,
-                input_lits: &bind_a,
-                state_lits: &state_a,
-                input_base: &wbind_a,
-                state_base: &wstate_a,
-                input_labels: &labels_a,
-                state_labels: &slabels_a,
-                node_lits: &enc_a.node_lits,
-            },
-            &SweepSide {
-                n: b,
-                input_lits: &bind_b,
-                state_lits: &state_b,
-                input_base: &wbind_b,
-                state_base: &wstate_b,
-                input_labels: &labels_b,
-                state_labels: &slabels_b,
-                node_lits: &enc_b.node_lits,
-            },
-            opts.sweep_conflict_budget,
-            opts.lemma_store.as_deref(),
-            opts.cancel.as_ref(),
-        )
-    } else {
-        SweepStats::default()
-    };
+    let sweep_stats = sweep(
+        s,
+        &mut enc,
+        &SweepSide {
+            n: a,
+            input_lits: &bind_a,
+            state_lits: &state_a,
+            input_base: &wbind_a,
+            state_base: &wstate_a,
+            input_labels: &labels_a,
+            state_labels: &slabels_a,
+            node_lits: &enc_a.node_lits,
+        },
+        &SweepSide {
+            n: b,
+            input_lits: &bind_b,
+            state_lits: &state_b,
+            input_base: &wbind_b,
+            state_base: &wstate_b,
+            input_labels: &labels_b,
+            state_labels: &slabels_b,
+            node_lits: &enc_b.node_lits,
+        },
+        opts.lemma_store.as_deref(),
+    );
 
     // --- Difference points: outputs... ---
     let b_outs: HashMap<Symbol, &Vec<Lit>> = enc_b.outputs.iter().map(|(n, l)| (*n, l)).collect();
@@ -634,7 +607,7 @@ fn assemble(
             return Err(MiterError::WidthMismatch(name.to_string()));
         }
         for (bit, (&la, &lb)) in lits_a.iter().zip(lits_b.iter()).enumerate() {
-            let d = enc.xor(&mut *s, la, lb);
+            let d = enc.xor(s, la, lb);
             diffs.push((format!("{name}[{bit}]"), d));
         }
     }
@@ -651,7 +624,7 @@ fn assemble(
         let next_b: HashMap<Symbol, Lit> = enc_b.dffs.iter().map(|d| (d.name, d.next)).collect();
         for &(golden, revised) in &paired {
             let (na, nb) = (next_a[&golden], next_b[&revised]);
-            let d = enc.xor(&mut *s, na, nb);
+            let d = enc.xor(s, na, nb);
             diffs.push((format!("next({golden})"), d));
         }
     }
@@ -668,9 +641,9 @@ fn assemble(
     })
 }
 
-/// Reads a [`Counterexample`] out of the engine's current model.
+/// Reads a [`Counterexample`] out of the solver's current model.
 fn extract_model_cex(
-    s: &dyn SatEngine,
+    s: &Solver,
     shared_inputs: &[(Symbol, Vec<Lit>)],
     shared_state: &[(Symbol, Lit)],
     key_inputs: &[(Symbol, Vec<Lit>)],
@@ -695,8 +668,8 @@ fn extract_model_cex(
     })
 }
 
-/// Difference points that are true under the engine's current model.
-fn model_diff_names_of(s: &dyn SatEngine, diffs: &[(String, Lit)]) -> Vec<String> {
+/// Difference points that are true under the solver's current model.
+fn model_diff_names_of(s: &Solver, diffs: &[(String, Lit)]) -> Vec<String> {
     diffs
         .iter()
         .filter(|&&(_, d)| model_value(s, d))
@@ -713,11 +686,10 @@ impl Miter {
     /// paired (see the variants for the exact conditions).
     pub fn build(a: &Netlist, b: &Netlist, opts: &MiterOptions) -> Result<Miter, MiterError> {
         let _span = alice_obs::span("cec.build");
-        let mut solver = Solver::with_config(opts.solver_config);
-        solver.set_cancel(opts.cancel.clone());
+        let mut solver = Solver::new();
         let core = assemble(&mut solver, a, b, opts, false)?;
         Ok(Miter {
-            engine: Box::new(solver),
+            solver,
             shared_inputs: core.shared_inputs,
             shared_state: core.shared_state,
             key_inputs: core.key_inputs,
@@ -737,12 +709,12 @@ impl Miter {
 
     /// CNF statistics: `(variables, clauses)` of the composed miter.
     pub fn cnf_size(&self) -> (usize, usize) {
-        (self.engine.num_vars(), self.engine.num_clauses())
+        (self.solver.num_vars(), self.solver.num_clauses())
     }
 
     fn extract_cex(&self, diffs_true: Vec<String>) -> Box<Counterexample> {
         extract_model_cex(
-            self.engine.as_ref(),
+            &self.solver,
             &self.shared_inputs,
             &self.shared_state,
             &self.key_inputs,
@@ -762,17 +734,16 @@ impl Miter {
         self.prove_with_stats().0
     }
 
-    /// [`Miter::prove`], also reporting the engine's total search effort
-    /// (sweeping plus the proof itself) — what the portfolio race
-    /// surfaces as the winner's statistics.
+    /// [`Miter::prove`], also reporting the solver's total search
+    /// effort (sweeping plus the proof itself).
     pub fn prove_with_stats(mut self) -> (CecResult, EngineStats) {
         let r = self.prove_inner();
-        (r, self.engine.stats())
+        (r, self.solver.stats())
     }
 
     fn prove_inner(&mut self) -> CecResult {
         let _span = alice_obs::span("cec.prove");
-        self.engine.set_budget(self.budget);
+        self.solver.conflict_budget = self.budget;
         let mut limited = false;
         for i in 0..self.diffs.len() {
             let d = self.diffs[i].1;
@@ -783,10 +754,9 @@ impl Miter {
                 // Folded to provably different — the verdict needs no
                 // search. Solve without a budget for a witness model
                 // (circuit-consistency CNF alone is always satisfiable);
-                // if that somehow fails — e.g. the race was cancelled —
-                // still report the folded points.
-                self.engine.set_budget(None);
-                let names = if self.engine.solve() == SatResult::Sat {
+                // if that somehow fails, still report the folded points.
+                self.solver.conflict_budget = None;
+                let names = if self.solver.solve() == SatResult::Sat {
                     self.model_diff_names()
                 } else {
                     self.diffs
@@ -797,7 +767,7 @@ impl Miter {
                 };
                 return CecResult::NotEquivalent(self.extract_cex(names));
             }
-            match self.engine.solve_with(&[d]) {
+            match self.solver.solve_with(&[d]) {
                 SatResult::Unsat => {}
                 SatResult::Unknown => limited = true,
                 SatResult::Sat => {
@@ -822,7 +792,7 @@ impl Miter {
     /// points plus the number of clean points.
     pub fn corruption(mut self) -> Corruption {
         let _span = alice_obs::span("cec.corruption");
-        self.engine.set_budget(self.budget);
+        self.solver.conflict_budget = self.budget;
         let total = self.diffs.len();
         let mut corrupted: BTreeSet<String> = BTreeSet::new();
         let mut complete = true;
@@ -835,7 +805,7 @@ impl Miter {
                 corrupted.insert(name);
                 continue;
             }
-            match self.engine.solve_with(&[d]) {
+            match self.solver.solve_with(&[d]) {
                 SatResult::Unsat => {}
                 SatResult::Unknown => complete = false,
                 SatResult::Sat => {
@@ -857,38 +827,15 @@ impl Miter {
     }
 
     fn model_diff_names(&self) -> Vec<String> {
-        model_diff_names_of(self.engine.as_ref(), &self.diffs)
-    }
-}
-
-/// The long-lived engine behind a [`KeyedMiter`]: one CDCL solver, or a
-/// portfolio racing diversified members on every assumption solve.
-enum KeyedEngine {
-    Single(Box<Solver>),
-    Portfolio(PortfolioEngine),
-}
-
-impl KeyedEngine {
-    fn as_engine(&mut self) -> &mut dyn SatEngine {
-        match self {
-            KeyedEngine::Single(s) => s.as_mut(),
-            KeyedEngine::Portfolio(p) => p,
-        }
-    }
-
-    fn as_engine_ref(&self) -> &dyn SatEngine {
-        match self {
-            KeyedEngine::Single(s) => s.as_ref(),
-            KeyedEngine::Portfolio(p) => p,
-        }
+        model_diff_names_of(&self.solver, &self.diffs)
     }
 }
 
 /// An assumption-parameterized key miter: the golden/revised pair
 /// encoded **once** with the bitstream registers left as *free*
 /// variables, so the correct-key equivalence proof and every wrong-key
-/// corruption analysis become [`SatEngine::solve_with`] calls on one
-/// long-lived engine. Learned clauses, sweep-derived equalities,
+/// corruption analysis become [`Solver::solve_with`] calls on one
+/// long-lived solver. Learned clauses, sweep-derived equalities,
 /// variable activities, and saved phases all transfer across keys —
 /// the per-key cost is one assumption solve instead of a fresh Tseitin
 /// encode plus a cold CDCL search.
@@ -912,7 +859,7 @@ impl KeyedEngine {
 /// the pinned encode would have constant-folded, and in exchange
 /// amortizes encode and search effort across all N keys of a sweep.
 pub struct KeyedMiter {
-    engine: KeyedEngine,
+    solver: Solver,
     shared_inputs: Vec<(Symbol, Vec<Lit>)>,
     shared_state: Vec<(Symbol, Lit)>,
     key_inputs: Vec<(Symbol, Vec<Lit>)>,
@@ -928,11 +875,8 @@ pub struct KeyedMiter {
 impl KeyedMiter {
     /// Builds the keyed miter of golden `a` against revised `b`.
     ///
-    /// `portfolio > 1` backs the miter with a [`PortfolioEngine`] of
-    /// that many diversified members (member 0 keeps the caller's
-    /// [`MiterOptions::solver_config`]), racing every assumption solve;
-    /// otherwise a single [`Solver`] is used. Portfolio racing steers
-    /// wall-clock only — verdicts are identical for every member.
+    /// The fourth argument is unused. It is kept only so that existing
+    /// callers still compile, and will be removed.
     ///
     /// # Errors
     ///
@@ -942,21 +886,14 @@ impl KeyedMiter {
         a: &Netlist,
         b: &Netlist,
         opts: &MiterOptions,
-        portfolio: usize,
+        _unused: usize,
     ) -> Result<KeyedMiter, MiterError> {
         let _span = alice_obs::span("cec.keyed_build");
-        let mut engine = if portfolio > 1 {
-            let mut configs = diversified_configs(portfolio);
-            configs[0] = opts.solver_config;
-            KeyedEngine::Portfolio(PortfolioEngine::with_configs(configs))
-        } else {
-            KeyedEngine::Single(Box::new(Solver::with_config(opts.solver_config)))
-        };
-        engine.as_engine().set_cancel(opts.cancel.clone());
-        let core = assemble(engine.as_engine(), a, b, opts, true)?;
+        let mut solver = Solver::new();
+        let core = assemble(&mut solver, a, b, opts, true)?;
         let slot_of = core.key_slots.iter().copied().collect();
         Ok(KeyedMiter {
-            engine,
+            solver,
             shared_inputs: core.shared_inputs,
             shared_state: core.shared_state,
             key_inputs: core.key_inputs,
@@ -984,8 +921,7 @@ impl KeyedMiter {
 
     /// CNF statistics: `(variables, clauses)` of the keyed miter.
     pub fn cnf_size(&self) -> (usize, usize) {
-        let e = self.engine.as_engine_ref();
-        (e.num_vars(), e.num_clauses())
+        (self.solver.num_vars(), self.solver.num_clauses())
     }
 
     /// Statistics of the SAT-sweeping pass that ran at build time.
@@ -993,18 +929,9 @@ impl KeyedMiter {
         self.sweep_stats
     }
 
-    /// Cumulative engine search effort across every query so far.
+    /// Cumulative solver search effort across every query so far.
     pub fn stats(&self) -> EngineStats {
-        self.engine.as_engine_ref().stats()
-    }
-
-    /// Per-config win counts of the backing portfolio, when
-    /// [`KeyedMiter::build`] was given `portfolio > 1`.
-    pub fn portfolio_stats(&self) -> Option<PortfolioStats> {
-        match &self.engine {
-            KeyedEngine::Portfolio(p) => Some(p.portfolio_stats()),
-            KeyedEngine::Single(_) => None,
-        }
+        self.solver.stats()
     }
 
     /// Lowers a key to its assumption set: one literal per named slot,
@@ -1025,7 +952,7 @@ impl KeyedMiter {
 
     /// Proves equivalence under `key`, one assumption query per
     /// difference point — the incremental counterpart of
-    /// [`Miter::prove`]. The engine is reset to the root afterwards, so
+    /// [`Miter::prove`]. The solver is reset to the root afterwards, so
     /// the next key starts from a coherent level-0 state.
     ///
     /// # Errors
@@ -1035,7 +962,7 @@ impl KeyedMiter {
         let mut assumptions = self.assumptions(key)?;
         let _span = alice_obs::span("cec.prove");
         let budget = self.budget;
-        self.engine.as_engine().set_budget(budget);
+        self.solver.conflict_budget = budget;
         let mut verdict = None;
         let mut limited = false;
         for i in 0..self.diffs.len() {
@@ -1048,11 +975,11 @@ impl KeyedMiter {
                 // only for a witness consistent with this key (the
                 // circuit CNF plus a consistent key assignment is
                 // always satisfiable), without a budget.
-                self.engine.as_engine().set_budget(None);
-                let r = self.engine.as_engine().solve_with(&assumptions);
-                self.engine.as_engine().set_budget(budget);
+                self.solver.conflict_budget = None;
+                let r = self.solver.solve_with(&assumptions);
+                self.solver.conflict_budget = budget;
                 if r != SatResult::Sat {
-                    // Cancelled mid-witness: still report folded points.
+                    // No witness after all: still report folded points.
                     let names = self
                         .diffs
                         .iter()
@@ -1065,7 +992,7 @@ impl KeyedMiter {
                 SatResult::Sat
             } else {
                 assumptions.push(d);
-                let r = self.engine.as_engine().solve_with(&assumptions);
+                let r = self.solver.solve_with(&assumptions);
                 assumptions.pop();
                 r
             };
@@ -1079,7 +1006,7 @@ impl KeyedMiter {
                 }
             }
         }
-        self.engine.as_engine().reset_to_root();
+        self.solver.reset_to_root();
         Ok(verdict.unwrap_or(if limited {
             CecResult::ResourceLimit
         } else {
@@ -1090,7 +1017,7 @@ impl KeyedMiter {
     /// Computes the exact corruptible-point set under `key` — the
     /// incremental counterpart of [`Miter::corruption`], with identical
     /// semantics (every SAT model marks all points differing under it;
-    /// `complete` is false only on budget exhaustion). The engine is
+    /// `complete` is false only on budget exhaustion). The solver is
     /// reset to the root afterwards.
     ///
     /// # Errors
@@ -1099,7 +1026,7 @@ impl KeyedMiter {
     pub fn corruption(&mut self, key: &[(Symbol, bool)]) -> Result<Corruption, MiterError> {
         let mut assumptions = self.assumptions(key)?;
         let _span = alice_obs::span("cec.corruption");
-        self.engine.as_engine().set_budget(self.budget);
+        self.solver.conflict_budget = self.budget;
         let total = self.diffs.len();
         let mut corrupted: BTreeSet<String> = BTreeSet::new();
         let mut complete = true;
@@ -1113,7 +1040,7 @@ impl KeyedMiter {
                 continue;
             }
             assumptions.push(d);
-            let r = self.engine.as_engine().solve_with(&assumptions);
+            let r = self.solver.solve_with(&assumptions);
             assumptions.pop();
             match r {
                 SatResult::Unsat => {}
@@ -1125,7 +1052,7 @@ impl KeyedMiter {
                 }
             }
         }
-        self.engine.as_engine().reset_to_root();
+        self.solver.reset_to_root();
         Ok(Corruption {
             corrupted,
             total,
@@ -1135,7 +1062,7 @@ impl KeyedMiter {
 
     fn extract_cex(&self, diffs_true: Vec<String>) -> Box<Counterexample> {
         extract_model_cex(
-            self.engine.as_engine_ref(),
+            &self.solver,
             &self.shared_inputs,
             &self.shared_state,
             &self.key_inputs,
@@ -1145,7 +1072,7 @@ impl KeyedMiter {
     }
 
     fn model_diff_names(&self) -> Vec<String> {
-        model_diff_names_of(self.engine.as_engine_ref(), &self.diffs)
+        model_diff_names_of(&self.solver, &self.diffs)
     }
 }
 
@@ -1171,135 +1098,6 @@ impl KeyedMiter {
 /// ```
 pub fn prove_equivalent(a: &Netlist, b: &Netlist) -> Result<CecResult, MiterError> {
     Ok(Miter::build(a, b, &MiterOptions::default())?.prove())
-}
-
-/// Outcome of a raced equivalence proof (see [`prove_equivalent_raced`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RaceOutcome {
-    /// The winning configuration's verdict.
-    pub result: CecResult,
-    /// Index of the configuration that answered first (0 is always the
-    /// caller's exact options — today's single-solver behavior).
-    pub winner: usize,
-    /// Search effort (sweeping + proof) spent by the winner.
-    pub stats: EngineStats,
-    /// Number of configurations raced.
-    pub configs: usize,
-    /// Difference points compared, as seen by the winner.
-    pub diff_points: usize,
-    /// Winner's miter CNF variable count.
-    pub cnf_vars: usize,
-    /// Winner's miter CNF clause count.
-    pub cnf_clauses: usize,
-}
-
-/// The portfolio diversification of one miter configuration: config 0 is
-/// the caller's options verbatim; odd configs flip the sweep-first vs.
-/// monolithic encoding split; even configs scale the sweep budget; every
-/// config beyond 0 gets its own CDCL heuristics from
-/// [`diversified_configs`]. None of this can change a verdict — only
-/// which verdict arrives first.
-fn diversified_options(
-    base: &MiterOptions,
-    i: usize,
-    configs: &[SolverConfig],
-    token: &CancelToken,
-) -> MiterOptions {
-    let mut o = base.clone();
-    o.solver_config = configs[i];
-    o.cancel = Some(token.clone());
-    if i > 0 {
-        if i % 2 == 1 {
-            o.sweep = !base.sweep;
-        } else {
-            o.sweep_conflict_budget = base
-                .sweep_conflict_budget
-                .map(|b| b.saturating_mul(1 << (i / 2).min(8)));
-        }
-    }
-    o
-}
-
-/// Races `n` diversified miter configurations over up to `jobs` worker
-/// threads; the first definitive verdict wins and the losers are
-/// cooperatively cancelled (they stop within one propagation round and
-/// are joined before this returns — no threads outlive the call).
-///
-/// `n <= 1` degenerates to a plain [`Miter::build`] + [`Miter::prove`]
-/// on the calling thread with byte-identical behavior. A
-/// [`CecResult::ResourceLimit`] answer never wins the race: a
-/// budget-exhausted configuration must not outrank a slower prover, so
-/// the limit verdict is returned only when *every* configuration
-/// exhausts. Build errors are structural and configuration-independent,
-/// hence immediately definitive.
-///
-/// # Errors
-///
-/// Returns [`MiterError`] when the netlists' boundaries cannot be paired.
-pub fn prove_equivalent_raced(
-    a: &Netlist,
-    b: &Netlist,
-    opts: &MiterOptions,
-    n: usize,
-    jobs: usize,
-) -> Result<RaceOutcome, MiterError> {
-    if n <= 1 {
-        let m = Miter::build(a, b, opts)?;
-        let diff_points = m.diff_points();
-        let (cnf_vars, cnf_clauses) = m.cnf_size();
-        let (result, stats) = m.prove_with_stats();
-        return Ok(RaceOutcome {
-            result,
-            winner: 0,
-            stats,
-            configs: 1,
-            diff_points,
-            cnf_vars,
-            cnf_clauses,
-        });
-    }
-    let configs = diversified_configs(n);
-    let outcome = race(n, jobs, |i, token| {
-        if alice_obs::tracing_enabled() {
-            alice_obs::set_thread_name(&format!("portfolio racer {i}"));
-        }
-        let _span = alice_obs::span_with("cec.race_candidate", || format!("config {i}"));
-        let o = diversified_options(opts, i, &configs, token);
-        match Miter::build(a, b, &o) {
-            Err(e) => Some(Err(e)),
-            Ok(m) => {
-                let diff_points = m.diff_points();
-                let (cnf_vars, cnf_clauses) = m.cnf_size();
-                match m.prove_with_stats() {
-                    (CecResult::ResourceLimit, _) => None,
-                    (r, stats) => Some(Ok((r, stats, diff_points, cnf_vars, cnf_clauses))),
-                }
-            }
-        }
-    });
-    match outcome {
-        Some((winner, Ok((result, stats, diff_points, cnf_vars, cnf_clauses)))) => {
-            Ok(RaceOutcome {
-                result,
-                winner,
-                stats,
-                configs: n,
-                diff_points,
-                cnf_vars,
-                cnf_clauses,
-            })
-        }
-        Some((_, Err(e))) => Err(e),
-        None => Ok(RaceOutcome {
-            result: CecResult::ResourceLimit,
-            winner: 0,
-            stats: EngineStats::default(),
-            configs: n,
-            diff_points: 0,
-            cnf_vars: 0,
-            cnf_clauses: 0,
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -1574,18 +1372,10 @@ mod tests {
             miter_fingerprint(&a1, &b1, &opts),
             miter_fingerprint(&a1, &flipped, &opts)
         );
-        // Solver budgets do not (a cached verdict is budget-independent),
-        // and neither do portfolio knobs: heuristics and cancellation
-        // steer wall-clock, never verdicts.
+        // The solver budget does not (a cached verdict is
+        // budget-independent).
         let budgeted = MiterOptions {
             conflict_budget: Some(1),
-            sweep: false,
-            solver_config: SolverConfig {
-                invert_phase: true,
-                seed: 42,
-                ..SolverConfig::default()
-            },
-            cancel: Some(CancelToken::new()),
             ..MiterOptions::default()
         };
         assert_eq!(
@@ -1645,81 +1435,6 @@ mod tests {
         // to Equivalent without search; accept either outcome but never a
         // counterexample.
         assert!(!matches!(r, CecResult::NotEquivalent(_)));
-    }
-
-    fn adder_pair() -> (Netlist, Netlist) {
-        let build = |swap: bool| {
-            let mut n = Netlist::new("t");
-            let a = n.add_input("a", 6);
-            let b = n.add_input("b", 6);
-            let mut carry = alice_netlist::ir::Lit::FALSE;
-            let mut outs = Vec::new();
-            for i in 0..6 {
-                let (x, y) = if swap { (b[i], a[i]) } else { (a[i], b[i]) };
-                let s1 = n.xor(x, y);
-                let s2 = n.xor(s1, carry);
-                let c1 = n.and(x, y);
-                let c2 = n.and(s1, carry);
-                carry = n.or(c1, c2);
-                outs.push(s2);
-            }
-            n.add_output("s", outs);
-            n
-        };
-        (build(false), build(true))
-    }
-
-    #[test]
-    fn raced_prove_agrees_with_single_and_joins_all_shards() {
-        // An Equivalent (all-UNSAT) miter raced across 3 configurations:
-        // the race must return the same verdict as portfolio 1, and
-        // because the race runs on scoped threads, returning at all
-        // proves every loser was cancelled and joined.
-        let (a, b) = adder_pair();
-        let opts = MiterOptions::default();
-        let single = Miter::build(&a, &b, &opts).expect("builds").prove();
-        let raced = prove_equivalent_raced(&a, &b, &opts, 3, 3).expect("builds");
-        assert_eq!(raced.result, single);
-        assert_eq!(raced.result, CecResult::Equivalent);
-        assert!(raced.winner < 3);
-        assert_eq!(raced.configs, 3);
-
-        // And a NotEquivalent pair keeps its verdict under racing too
-        // (the witness itself may legitimately differ per winner).
-        let mut bad = a.clone();
-        bad.outputs[0].1[0] = bad.outputs[0].1[0].compl();
-        let raced = prove_equivalent_raced(&a, &bad, &opts, 3, 3).expect("builds");
-        assert!(matches!(raced.result, CecResult::NotEquivalent(_)));
-    }
-
-    #[test]
-    fn raced_prove_with_one_config_is_the_plain_path() {
-        let (a, b) = adder_pair();
-        let r = prove_equivalent_raced(&a, &b, &MiterOptions::default(), 1, 4).expect("builds");
-        assert_eq!(r.result, CecResult::Equivalent);
-        assert_eq!((r.winner, r.configs), (0, 1));
-    }
-
-    #[test]
-    fn raced_prove_propagates_build_errors_and_exhaustion() {
-        let (a, b) = adder_pair();
-        // Structural error: definitive regardless of configuration.
-        let mut c = b.clone();
-        c.inputs[0].0 = Symbol::intern("renamed");
-        let err = prove_equivalent_raced(&a, &c, &MiterOptions::default(), 3, 3);
-        assert_eq!(err.err(), Some(MiterError::MissingInput("a".to_string())));
-        // A zero conflict budget exhausts every configuration: the limit
-        // verdict is only reported when nobody answers definitively.
-        let opts = MiterOptions {
-            conflict_budget: Some(0),
-            sweep: false,
-            sweep_conflict_budget: Some(0),
-            ..MiterOptions::default()
-        };
-        let r = prove_equivalent_raced(&a, &b, &opts, 3, 3).expect("builds");
-        // Commutated operands may strash to identical nodes and fold the
-        // miter closed without search; accept either non-witness verdict.
-        assert!(!matches!(r.result, CecResult::NotEquivalent(_)));
     }
 
     fn tmp_lemma_dir(tag: &str) -> std::path::PathBuf {
@@ -1871,33 +1586,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn cancelled_miter_reports_resource_limit() {
-        // a^b vs (a&!b)|(!a&b): equivalent but structurally different,
-        // so nothing folds and a verdict genuinely needs search (the
-        // sweep, which would stitch them, bails out when cancelled too).
-        let mut a = Netlist::new("x");
-        let i0 = a.add_input("a", 1)[0];
-        let i1 = a.add_input("b", 1)[0];
-        let y = a.xor(i0, i1);
-        a.add_output("y", vec![y]);
-        let mut b = Netlist::new("x2");
-        let i0 = b.add_input("a", 1)[0];
-        let i1 = b.add_input("b", 1)[0];
-        let t1 = b.and(i0, i1.compl());
-        let t2 = b.and(i0.compl(), i1);
-        let y = b.or(t1, t2);
-        b.add_output("y", vec![y]);
-        let token = CancelToken::new();
-        token.cancel();
-        let opts = MiterOptions {
-            cancel: Some(token),
-            ..MiterOptions::default()
-        };
-        let m = Miter::build(&a, &b, &opts).expect("builds");
-        assert_eq!(m.prove(), CecResult::ResourceLimit);
-    }
-
     /// Golden `y = a`; revised `y = a ^ cfg` with a 2-bit cfg chain:
     /// correct key is `cfg[0] = cfg[1] = 0` (any set bit corrupts y).
     fn keyed_pair() -> (Netlist, Netlist, Vec<(Symbol, bool)>) {
@@ -1933,7 +1621,7 @@ mod tests {
         assert_eq!(km.diff_points(), 1);
 
         // Every key value, interleaved and repeated: the long-lived
-        // engine must keep answering exactly what a fresh pinned miter
+        // solver must keep answering exactly what a fresh pinned miter
         // answers, regardless of what it learned from earlier keys.
         for &(b0, b1) in &[
             (false, false),
@@ -2008,30 +1696,5 @@ mod tests {
             km.prove(&bogus).err(),
             Some(MiterError::UnknownPin("top.le9.cfg[7]".to_string()))
         );
-    }
-
-    #[test]
-    fn keyed_portfolio_agrees_with_single() {
-        let (g, r, correct) = keyed_pair();
-        let base = MiterOptions {
-            pin_state: correct.clone(),
-            ..MiterOptions::default()
-        };
-        let mut single = KeyedMiter::build(&g, &r, &base, 1).expect("builds");
-        let mut ported = KeyedMiter::build(&g, &r, &base, 3).expect("builds");
-        assert!(single.portfolio_stats().is_none());
-        for &(b0, b1) in &[(false, false), (true, true), (true, false)] {
-            let key = vec![(correct[0].0, b0), (correct[1].0, b1)];
-            let a = single.prove(&key).expect("known");
-            let b = ported.prove(&key).expect("known");
-            assert_eq!(a.is_equivalent(), b.is_equivalent(), "key ({b0},{b1})");
-            assert_eq!(
-                single.corruption(&key).expect("known"),
-                ported.corruption(&key).expect("known")
-            );
-        }
-        let ps = ported.portfolio_stats().expect("portfolio-backed");
-        assert_eq!(ps.configs, 3);
-        assert!(ps.wins.iter().sum::<u64>() > 0);
     }
 }

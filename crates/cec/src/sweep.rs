@@ -41,11 +41,9 @@
 
 use crate::cache;
 use crate::encode::{model_value, Encoder};
-use alice_attacks::engine::SatEngine;
-use alice_attacks::solver::{Lit, SatResult};
+use alice_attacks::solver::{Lit, SatResult, Solver};
 use alice_intern::{StableHasher, Symbol};
 use alice_netlist::ir::{Lit as NLit, Netlist, Node};
-use alice_par::CancelToken;
 use alice_store::Store;
 use std::collections::{HashMap, HashSet};
 
@@ -64,6 +62,10 @@ const MAX_ROUNDS: usize = 4;
 
 /// Counterexample patterns captured per round (one extra word).
 const CEX_PER_ROUND: usize = 64;
+
+/// Conflict budget of each per-pair proof. Pairs the budget gives up on
+/// are simply left unmerged.
+const PAIR_CONFLICT_BUDGET: u64 = 2_000;
 
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -299,11 +301,7 @@ pub(crate) fn lemma_key(ha: ConeHash, fa: bool, hb: ConeHash, fb: bool) -> (u64,
 
 impl SweepSide<'_> {
     /// Base words + one word per snapshot chunk, per boundary bit.
-    fn words(
-        &self,
-        solver: &dyn SatEngine,
-        snaps: &[Vec<HashMap<Lit, bool>>],
-    ) -> (PortWords, StateWords) {
+    fn words(&self, solver: &Solver, snaps: &[Vec<HashMap<Lit, bool>>]) -> (PortWords, StateWords) {
         let extend = |l: Lit, base: &Sig| -> Vec<u64> {
             let mut w = base.to_vec();
             for chunk in snaps {
@@ -355,18 +353,16 @@ impl SweepSide<'_> {
 /// proof (the equality is asserted directly), and fresh proofs are
 /// written back for future processes.
 pub(crate) fn sweep(
-    solver: &mut dyn SatEngine,
+    solver: &mut Solver,
     enc: &mut Encoder,
     a: &SweepSide<'_>,
     b: &SweepSide<'_>,
-    pair_budget: Option<u64>,
     lemma_store: Option<&Store>,
-    cancel: Option<&CancelToken>,
 ) -> SweepStats {
     let _span = alice_obs::span("cec.sweep");
     let debug = std::env::var_os("ALICE_CEC_DEBUG").is_some();
-    let saved_budget = solver.budget();
-    solver.set_budget(pair_budget);
+    let saved_budget = solver.conflict_budget;
+    solver.conflict_budget = Some(PAIR_CONFLICT_BUDGET);
     // Cone hashes are boundary-relative and round-independent, so they
     // are computed once — and only when a lemma store is listening.
     let cones = lemma_store.map(|_| {
@@ -391,7 +387,7 @@ pub(crate) fn sweep(
     let mut merged: HashSet<(Lit, Lit)> = HashSet::new();
     let mut refuted: HashSet<(Lit, Lit)> = HashSet::new();
     let mut snaps: Vec<Vec<HashMap<Lit, bool>>> = Vec::new();
-    'rounds: for round in 0..=MAX_ROUNDS {
+    for round in 0..=MAX_ROUNDS {
         stats.rounds = round + 1;
         let words = 2 + snaps.len();
         let (iw_a, sw_a) = a.words(&*solver, &snaps);
@@ -417,12 +413,6 @@ pub(crate) fn sweep(
         let mut undecided = 0usize;
         let merged_before = stats.merged;
         for (id, node) in b.n.iter() {
-            // A losing portfolio racer abandons its remaining candidate
-            // proofs outright — the per-round simulation and the pending
-            // SAT calls are pure wall-clock once the race is decided.
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                break 'rounds;
-            }
             if !node.is_gate() {
                 continue;
             }
@@ -507,7 +497,7 @@ pub(crate) fn sweep(
         }
         snaps.push(chunk);
     }
-    solver.set_budget(saved_budget);
+    solver.conflict_budget = saved_budget;
     SWEEP_CANDIDATES.add(stats.candidates as u64);
     SWEEP_MERGED.add(stats.merged as u64);
     SWEEP_LEMMA_HITS.add(stats.lemma_hits as u64);

@@ -57,13 +57,6 @@ pub struct AliceConfig {
     /// unlimited (the proof either finishes or runs forever — prefer a
     /// budget on untrusted inputs).
     pub verify_conflict_budget: Option<u64>,
-    /// Portfolio width of the verify stage's equivalence proofs (the
-    /// `alice` CLI's `--portfolio`, YAML `portfolio:`): race this many
-    /// diversified SAT configurations per proof, first definitive answer
-    /// wins. `1` (the default) is the classic single-solver path with
-    /// byte-identical reports; racing never changes verdicts, only
-    /// wall-clock.
-    pub portfolio: usize,
     /// Use the incremental keyed-miter CEC path for the verify stage's
     /// wrong-key sweep (YAML `incremental_cec:`): encode the
     /// golden/revised pair once per worker with key bits left free and
@@ -118,7 +111,6 @@ impl Default for AliceConfig {
             verify: false,
             verify_wrong_keys: 0,
             verify_conflict_budget: Some(5_000_000),
-            portfolio: 1,
             incremental_cec: true,
             cache: true,
             store: None,
@@ -158,7 +150,9 @@ impl AliceConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`YamlError`] for malformed YAML or out-of-range values.
+    /// Returns [`YamlError`] for malformed YAML, out-of-range values, or
+    /// a key the configuration does not know (a misspelt key would
+    /// otherwise silently run the default).
     ///
     /// # Example
     ///
@@ -179,6 +173,10 @@ impl AliceConfig {
     /// ```
     pub fn from_yaml(src: &str) -> Result<Self, YamlError> {
         let y = Yaml::parse(src)?;
+        reject_unknown(&y, &KEYS, "")?;
+        if let Some(f) = y.get("fabric") {
+            reject_unknown(f, &FABRIC_KEYS, "fabric.")?;
+        }
         let mut cfg = AliceConfig::default();
         let bad = |what: &str| YamlError {
             line: 0,
@@ -236,13 +234,6 @@ impl AliceConfig {
         if let Some(v) = y.get("wrong_keys") {
             cfg.verify_wrong_keys = v.as_u32().ok_or_else(|| bad("wrong_keys"))? as usize;
         }
-        if let Some(v) = y.get("portfolio") {
-            let n = v.as_u32().ok_or_else(|| bad("portfolio"))?;
-            if n == 0 {
-                return Err(bad("portfolio"));
-            }
-            cfg.portfolio = n as usize;
-        }
         if let Some(v) = y.get("incremental_cec") {
             cfg.incremental_cec = v.as_bool().ok_or_else(|| bad("incremental_cec"))?;
         }
@@ -289,6 +280,50 @@ impl AliceConfig {
             }
         }
         Ok(cfg)
+    }
+}
+
+/// The top-level keys [`AliceConfig::from_yaml`] reads.
+const KEYS: [&str; 18] = [
+    "max_io_pins",
+    "max_efpgas",
+    "alpha",
+    "beta",
+    "jobs",
+    "verify",
+    "cache",
+    "store",
+    "store_budget",
+    "trace",
+    "metrics",
+    "wrong_keys",
+    "incremental_cec",
+    "verify_budget",
+    "top",
+    "score_model",
+    "selected_outputs",
+    "fabric",
+];
+
+/// The keys of the `fabric:` map.
+const FABRIC_KEYS: [&str; 5] = [
+    "lut_inputs",
+    "les_per_clb",
+    "gpio_per_tile",
+    "max_dim",
+    "channel_width",
+];
+
+/// Fails on the first key of `map` outside `known`, naming it with
+/// `prefix` (`fabric.` for the fabric map).
+fn reject_unknown(map: &Yaml, known: &[&str], prefix: &str) -> Result<(), YamlError> {
+    let Yaml::Map(m) = map else { return Ok(()) };
+    match m.keys().find(|k| !known.contains(&k.as_str())) {
+        Some(key) => Err(YamlError {
+            line: 0,
+            message: format!("unknown key `{prefix}{key}`"),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -358,12 +393,31 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_parses() {
-        assert_eq!(AliceConfig::default().portfolio, 1, "default is classic");
-        let cfg = AliceConfig::from_yaml("portfolio: 4").expect("parse");
-        assert_eq!(cfg.portfolio, 4);
-        assert!(AliceConfig::from_yaml("portfolio: 0").is_err(), "zero");
-        assert!(AliceConfig::from_yaml("portfolio: lots").is_err());
+    fn unknown_keys_are_rejected_by_name() {
+        let err = AliceConfig::from_yaml("max_io_pin: 96").expect_err("typo");
+        assert!(err.message.contains("unknown key `max_io_pin`"), "{err}");
+        let err = AliceConfig::from_yaml("portfolio: 4").expect_err("removed key");
+        assert!(err.message.contains("unknown key `portfolio`"), "{err}");
+        let err = AliceConfig::from_yaml("fabric:\n  lut_input: 6").expect_err("fabric typo");
+        assert!(
+            err.message.contains("unknown key `fabric.lut_input`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn readme_example_parses() {
+        let readme = include_str!("../../../README.md");
+        let start = readme
+            .find("```yaml\n# flow.yaml")
+            .expect("README has the example");
+        let body = &readme[start + "```yaml\n".len()..];
+        let example = &body[..body.find("```").expect("closed code block")];
+        let cfg = AliceConfig::from_yaml(example).expect("the README example parses");
+        assert_eq!((cfg.max_io_pins, cfg.max_efpgas), (96, 1));
+        assert_eq!(cfg.verify_wrong_keys, 4);
+        assert_eq!(cfg.selected_outputs, vec!["dout".to_string()]);
+        assert_eq!(cfg.arch.channel_width, 8);
     }
 
     #[test]

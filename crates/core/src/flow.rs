@@ -15,7 +15,7 @@ use crate::stage::{
     run_stage, ClusterStage, FilterStage, FlowContext, PhaseTimings, RedactStage, SelectStage,
     Stage, VerifyStage, CLUSTER, FILTER, SELECT, VERIFY,
 };
-use crate::verify::{PortfolioSummary, VerifyReport};
+use crate::verify::VerifyReport;
 use alice_fabric::FabricSize;
 use std::fmt;
 use std::sync::Arc;
@@ -71,10 +71,6 @@ pub struct FlowReport {
     /// run's window; same attribution caveat as
     /// [`FlowReport::cache_hits`].
     pub cache_misses: u64,
-    /// Portfolio race summary for the equivalence proof (`None` in
-    /// classic `portfolio = 1` runs and on proof-cache hits), so win
-    /// counts and winner effort surface in the suite tables.
-    pub portfolio: Option<PortfolioSummary>,
     /// Lookups served from the persistent on-disk store (cold in this
     /// process, warm on disk) during this run's window — the cross-
     /// process reuse the `--store` flag buys; zero without a store. Same
@@ -118,7 +114,6 @@ impl FlowReport {
             verify_time: timings.duration_of(VERIFY),
             verified,
             wrong_key_corruption: cx.verify.as_ref().and_then(|v| v.corruption_fraction()),
-            portfolio: cx.verify.as_ref().and_then(|v| v.portfolio.clone()),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_disk_hits: cache.disk_hits,
@@ -159,9 +154,6 @@ impl fmt::Display for FlowReport {
         }
         if let Some(c) = self.wrong_key_corruption {
             write!(f, " corr={c:.2}")?;
-        }
-        if let Some(p) = &self.portfolio {
-            write!(f, " sat[{p}]")?;
         }
         if self.cache_hits + self.cache_misses + self.cache_disk_hits > 0 {
             write!(f, " | cache {}h/{}m", self.cache_hits, self.cache_misses)?;

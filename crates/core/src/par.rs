@@ -1,6 +1,5 @@
 //! Deterministic work-sharding over scoped threads — re-exported from
-//! [`alice_par`], the bottom-of-the-workspace crate that also serves the
-//! portfolio SAT race in `alice-attacks`.
+//! [`alice_par`], the bottom-of-the-workspace crate.
 //!
 //! The flow's parallel sections (fabric characterization in the select
 //! stage, the batch suite driver in `alice-bench`) all use the same
@@ -9,4 +8,4 @@
 //! reassembled in index order. Scheduling therefore never affects
 //! output — `jobs = 1` and `jobs = 64` produce identical results.
 
-pub use alice_par::{race, resolve_jobs, shard, CancelToken};
+pub use alice_par::{resolve_jobs, shard};

@@ -25,9 +25,9 @@
 //! **once** as an assumption-parameterized [`KeyedMiter`] and answers
 //! its whole slice by `solve_with(assumptions)` on one long-lived
 //! solver — learned clauses, variable activities, and saved phases
-//! carry across keys, and the correct-key proof's already-warm engine
-//! is handed to the first worker. Verdicts and corruption counts are
-//! bit-identical to the pinned-constant baseline.
+//! carry across keys, and the correct-key proof's already-warm solver
+//! is handed to the worker of the first slice. Verdicts and corruption
+//! counts are bit-identical to the pinned-constant baseline.
 
 use crate::config::AliceConfig;
 use crate::db::DesignDb;
@@ -36,10 +36,7 @@ use crate::error::AliceError;
 use crate::par::shard;
 use crate::redact::RedactedDesign;
 use alice_cec::cache::{self as cec_cache, CachedCorruption, CachedProof};
-use alice_cec::{
-    miter_fingerprint, prove_equivalent_raced, CecResult, Counterexample, EngineStats, KeyedMiter,
-    Miter, MiterOptions,
-};
+use alice_cec::{miter_fingerprint, CecResult, Counterexample, KeyedMiter, Miter, MiterOptions};
 use alice_intern::Symbol;
 use alice_netlist::ir::Netlist;
 use std::collections::HashMap;
@@ -131,64 +128,6 @@ impl WrongKeyOutcome {
     }
 }
 
-/// Summary of the portfolio race behind the equivalence proof, present
-/// only when [`AliceConfig::portfolio`] > 1 and the proof actually ran
-/// (cache hits race nothing). On the incremental keyed-miter path the
-/// "winner" is the member that won the most assumption solves, and the
-/// clause-database counters describe the long-lived engine's retention
-/// behavior across the whole run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortfolioSummary {
-    /// Configurations raced.
-    pub configs: usize,
-    /// Index of the winning configuration (0 = the classic defaults).
-    pub winner: usize,
-    /// Conflicts spent by the winner (sweeping + proof).
-    pub conflicts: u64,
-    /// Clauses the winner learned.
-    pub learned: u64,
-    /// Luby restarts taken by winning members.
-    pub restarts: u64,
-    /// Incremental `solve_with(assumptions)` calls answered.
-    pub assumption_solves: u64,
-    /// Learned clauses surviving clause-database reductions.
-    pub learned_kept: u64,
-    /// Learned clauses dropped by clause-database reductions.
-    pub learned_dropped: u64,
-}
-
-impl PortfolioSummary {
-    fn new(configs: usize, winner: usize, stats: EngineStats) -> Self {
-        PortfolioSummary {
-            configs,
-            winner,
-            conflicts: stats.conflicts,
-            learned: stats.learned,
-            restarts: stats.restarts,
-            assumption_solves: stats.assumption_solves,
-            learned_kept: stats.learned_kept,
-            learned_dropped: stats.learned_dropped,
-        }
-    }
-}
-
-impl fmt::Display for PortfolioSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "config {}/{} won ({} conflicts, {} learned, {} restarts, {} asm, db {}+/{}-)",
-            self.winner,
-            self.configs,
-            self.conflicts,
-            self.learned,
-            self.restarts,
-            self.assumption_solves,
-            self.learned_kept,
-            self.learned_dropped
-        )
-    }
-}
-
 /// The verify stage's artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyReport {
@@ -202,9 +141,6 @@ pub struct VerifyReport {
     pub cnf_clauses: usize,
     /// Wrong-key corruptibility sweep results (empty when disabled).
     pub wrong_keys: Vec<WrongKeyOutcome>,
-    /// Portfolio race summary (`None` in classic single-solver runs and
-    /// on proof-cache hits).
-    pub portfolio: Option<PortfolioSummary>,
 }
 
 impl VerifyReport {
@@ -300,7 +236,6 @@ pub fn verify_redaction(
                 cnf_vars: 0,
                 cnf_clauses: 0,
                 wrong_keys: Vec::new(),
-                portfolio: None,
             })
         }
     };
@@ -317,16 +252,16 @@ pub fn verify_redaction(
     let store = db.store().map(Arc::as_ref);
     let fp = miter_fingerprint(&golden, &revised, &opts);
     let cached = store.and_then(|s| cec_cache::lookup_proof(s, fp));
-    // The keyed-miter engine behind an incremental correct-key proof,
-    // handed to the wrong-key sweep afterwards so its learned clauses,
+    // The keyed miter behind an incremental correct-key proof, handed
+    // to the wrong-key sweep afterwards so its learned clauses,
     // activities, and saved phases keep working across the wrong keys.
     let mut seed: Option<KeyedMiter> = None;
     // Incremental solving pays when its encode and search effort is
     // amortized over many keys; a lone correct-key proof stays on the
     // pinned-constant path, whose encode-time folding is unbeatable for
-    // a single key (and whose portfolio also diversifies the encoding).
+    // a single key.
     let incremental = cfg.incremental_cec && cfg.verify_wrong_keys > 0;
-    let (outcome, diff_points, cnf_vars, cnf_clauses, portfolio) = match cached {
+    let (outcome, diff_points, cnf_vars, cnf_clauses) = match cached {
         Some(proof) => {
             db.count_external_disk_hit();
             (
@@ -334,20 +269,25 @@ pub fn verify_redaction(
                 proof.diff_points as usize,
                 proof.cnf_vars as usize,
                 proof.cnf_clauses as usize,
-                None,
             )
         }
-        None if incremental => {
-            // One assumption-parameterized miter proves the correct key
-            // and then serves the wrong-key sweep from the same engine.
+        None => {
             let _span = alice_obs::span("verify.prove");
-            let mut km = KeyedMiter::build(&golden, &revised, &opts, cfg.portfolio)
-                .map_err(|e| AliceError::Verify(e.to_string()))?;
-            let result = km
-                .prove(&opts.pin_state)
-                .map_err(|e| AliceError::Verify(e.to_string()))?;
-            let diff_points = km.diff_points();
-            let (cnf_vars, cnf_clauses) = km.cnf_size();
+            let miter_err = |e: alice_cec::MiterError| AliceError::Verify(e.to_string());
+            let (result, diff_points, (cnf_vars, cnf_clauses)) = if incremental {
+                // One assumption-parameterized miter proves the correct
+                // key and then serves the wrong-key sweep from the same
+                // solver.
+                let mut km = KeyedMiter::build(&golden, &revised, &opts, 0).map_err(miter_err)?;
+                let result = km.prove(&opts.pin_state).map_err(miter_err)?;
+                let (diff_points, cnf) = (km.diff_points(), km.cnf_size());
+                seed = Some(km);
+                (result, diff_points, cnf)
+            } else {
+                let m = Miter::build(&golden, &revised, &opts).map_err(miter_err)?;
+                let (diff_points, cnf) = (m.diff_points(), m.cnf_size());
+                (m.prove(), diff_points, cnf)
+            };
             let outcome = match result {
                 CecResult::Equivalent => VerifyOutcome::Equivalent,
                 CecResult::NotEquivalent(cex) => VerifyOutcome::NotEquivalent(cex),
@@ -367,66 +307,7 @@ pub fn verify_redaction(
                     db.count_external_miss();
                 }
             }
-            let summary = (cfg.portfolio > 1).then(|| {
-                let winner = km
-                    .portfolio_stats()
-                    .map(|ps| {
-                        let (w, _) = ps
-                            .wins
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|&(_, &n)| n)
-                            .unwrap_or((0, &0));
-                        w
-                    })
-                    .unwrap_or(0);
-                PortfolioSummary::new(cfg.portfolio, winner, km.stats())
-            });
-            seed = Some(km);
-            (outcome, diff_points, cnf_vars, cnf_clauses, summary)
-        }
-        None => {
-            // `portfolio == 1` takes the classic single-solver path
-            // inside `prove_equivalent_raced` (no extra threads, no
-            // behavior change); larger widths race diversified solver
-            // and encoding configurations, first definitive answer wins.
-            let _span = alice_obs::span("verify.prove");
-            let ro = prove_equivalent_raced(
-                &golden,
-                &revised,
-                &opts,
-                cfg.portfolio,
-                cfg.effective_jobs(),
-            )
-            .map_err(|e| AliceError::Verify(e.to_string()))?;
-            let outcome = match ro.result {
-                CecResult::Equivalent => VerifyOutcome::Equivalent,
-                CecResult::NotEquivalent(cex) => VerifyOutcome::NotEquivalent(cex),
-                CecResult::ResourceLimit => VerifyOutcome::ResourceLimit,
-            };
-            if let Some(s) = store {
-                if outcome.is_equivalent() {
-                    cec_cache::record_proof(
-                        s,
-                        fp,
-                        CachedProof {
-                            diff_points: ro.diff_points as u64,
-                            cnf_vars: ro.cnf_vars as u64,
-                            cnf_clauses: ro.cnf_clauses as u64,
-                        },
-                    );
-                    db.count_external_miss();
-                }
-            }
-            let summary =
-                (cfg.portfolio > 1).then(|| PortfolioSummary::new(ro.configs, ro.winner, ro.stats));
-            (
-                outcome,
-                ro.diff_points,
-                ro.cnf_vars,
-                ro.cnf_clauses,
-                summary,
-            )
+            (outcome, diff_points, cnf_vars, cnf_clauses)
         }
     };
 
@@ -445,7 +326,6 @@ pub fn verify_redaction(
         cnf_vars,
         cnf_clauses,
         wrong_keys,
-        portfolio,
     })
 }
 
@@ -464,8 +344,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Identical flip sets are deduplicated up front — duplicates share one
 /// analysis — and the unique keys are partitioned into contiguous slices
 /// across [`shard`] workers. With [`AliceConfig::incremental_cec`] on,
-/// each worker owns one long-lived [`KeyedMiter`] (the first worker
-/// steals the engine `seed`ed by the correct-key proof, complete with
+/// each worker owns one long-lived [`KeyedMiter`] (the worker of slice 0
+/// inherits the miter `seed`ed by the correct-key proof, complete with
 /// its learned clauses and saved phases) and answers its whole slice by
 /// assumption solves; otherwise every key builds a fresh pinned
 /// [`Miter`], the classic baseline. Either way each wrong key remains
@@ -531,14 +411,12 @@ fn wrong_key_sweep(
     let seed = Mutex::new(seed);
     let jobs = cfg.effective_jobs();
     let workers = jobs.min(uniq.len()).max(1);
-    let per = uniq.len().div_ceil(workers);
-    let sliced = shard(workers, jobs, |w| {
-        let lo = w * per;
-        let hi = (lo + per).min(uniq.len());
-        // The worker's engine, built on first uncached key of the slice.
+    let slices: Vec<&[usize]> = uniq.chunks(uniq.len().div_ceil(workers).max(1)).collect();
+    let sliced = shard(slices.len(), jobs, |w| {
+        // The worker's keyed miter, built on the slice's first uncached key.
         let mut km: Option<KeyedMiter> = None;
-        let mut out: Vec<WrongKeyOutcome> = Vec::with_capacity(hi - lo);
-        for &k in &uniq[lo..hi] {
+        let mut out: Vec<WrongKeyOutcome> = Vec::with_capacity(slices[w].len());
+        for &k in slices[w] {
             let _span = alice_obs::span_with("verify.wrong_key", || format!("key {k}"));
             let started = std::time::Instant::now();
             let mut opts = base.clone();
@@ -566,14 +444,15 @@ fn wrong_key_sweep(
                 continue;
             }
             let c = if cfg.incremental_cec {
-                if km.is_none() {
-                    // First worker to get here inherits the correct-key
-                    // prover's warmed engine; the rest encode once for
-                    // their whole slice.
-                    km = seed.lock().unwrap().take();
+                if km.is_none() && w == 0 {
+                    // Slice 0 inherits the correct-key prover's warmed
+                    // solver; the other slices encode once for their
+                    // whole slice. A fixed heir keeps solver counts
+                    // independent of worker timing.
+                    km = seed.lock().expect("a sweep worker panicked").take();
                 }
                 if km.is_none() {
-                    km = Some(KeyedMiter::build(golden, revised, &base, 1)?);
+                    km = Some(KeyedMiter::build(golden, revised, &base, 0)?);
                 }
                 km.as_mut().unwrap().corruption(&opts.pin_state)?
             } else {
@@ -670,6 +549,24 @@ endmodule
             assert!(wk.complete, "tiny design must analyse exactly");
             assert!(!wk.flipped.is_empty());
         }
+    }
+
+    #[test]
+    fn more_workers_than_key_slices_is_fine() {
+        // 5 distinct keys over 4 workers: slices of 2 keys leave the
+        // fourth worker nothing to do, and nothing may index past the
+        // key list.
+        let d = Design::from_source("demo", SRC, None).expect("load");
+        let cfg = AliceConfig {
+            verify: true,
+            verify_wrong_keys: 5,
+            jobs: 4,
+            ..AliceConfig::cfg1()
+        };
+        let out = Flow::new(cfg).run(&d).expect("flow");
+        let v = out.verify.expect("verify ran");
+        assert!(v.outcome.is_equivalent());
+        assert_eq!(v.wrong_keys.len(), 5);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! process-wide metric registry, and two exporters.
 //!
 //! The flow's instrumentation used to be siloed — `PhaseTimings` in core,
-//! `SweepStats` in cec, `ReadStats` in store, conflict counts behind
-//! `SatEngine` — with no single answer to "where did this run's
+//! `SweepStats` in cec, `ReadStats` in store, conflict counts inside
+//! the SAT solver — with no single answer to "where did this run's
 //! wall-clock go?". This crate is the shared layer underneath all of
 //! them:
 //!

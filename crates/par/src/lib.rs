@@ -1,21 +1,15 @@
-//! Deterministic work-sharding and cooperative racing over scoped
-//! threads.
+//! Deterministic work-sharding over scoped threads.
 //!
 //! The flow's parallel sections (fabric characterization in the select
-//! stage, the batch suite driver in `alice-bench`, the portfolio SAT
-//! race in `alice-attacks`) all build on the same primitive: N
-//! independent index-addressed tasks, pulled from a shared counter by a
-//! fixed pool of `std::thread::scope` workers, with results reassembled
-//! in index order. Scheduling therefore never affects [`shard`]'s
-//! output — `jobs = 1` and `jobs = 64` produce identical results.
-//!
-//! [`race`] layers a *competitive* mode on top: every worker receives a
-//! shared [`CancelToken`], the first worker to produce a result wins and
-//! cancels the token, and the scope joins every loser before returning —
-//! a finished race can never leave a wedged thread behind.
+//! stage, the verify stage's wrong-key sweep, the batch suite driver in
+//! `alice-bench`) all build on the same primitive: N independent
+//! index-addressed tasks, pulled from a shared counter by a fixed pool
+//! of `std::thread::scope` workers, with results reassembled in index
+//! order. Scheduling therefore never affects [`shard`]'s output —
+//! `jobs = 1` and `jobs = 64` produce identical results.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Resolves a `jobs` knob: the value itself, or the machine's available
 /// parallelism when it is `0` ("auto"). The single source of truth for
@@ -69,95 +63,6 @@ pub fn shard<T: Send>(n: usize, jobs: usize, worker: impl Fn(usize) -> T + Sync)
     out.into_iter().map(|(_, t)| t).collect()
 }
 
-/// A shared, clonable cancellation flag for cooperative racing.
-///
-/// Long-running workers poll [`CancelToken::is_cancelled`] at natural
-/// checkpoints (the CDCL solver checks per decision and per restart) and
-/// bail out with an indeterminate answer once it fires. The flag is
-/// one-way: there is no reset, a token represents a single race.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fires the token; every clone observes the cancellation.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Has [`CancelToken::cancel`] been called on any clone?
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Races `worker` over indices `0..n` on up to `jobs` scoped threads:
-/// the first worker to return `Some` wins, the shared [`CancelToken`]
-/// fires, and the winning `(index, value)` pair is returned once every
-/// worker has joined.
-///
-/// Workers signal "no answer" (cancelled, or indeterminate on their own
-/// merits) by returning `None`; if every worker does, the race returns
-/// `None`. Losers that finish after the winner are discarded, so `race`
-/// — unlike [`shard`] — is only deterministic if every worker that
-/// returns `Some` returns an *equivalent* answer (the portfolio-SAT
-/// contract: any definitive verdict is correct, only witnesses differ).
-///
-/// Built on the same scoped-thread pool as [`shard`]: the scope joins
-/// every thread before returning, so a finished race never leaves a
-/// wedged worker behind.
-pub fn race<T: Send>(
-    n: usize,
-    jobs: usize,
-    worker: impl Fn(usize, &CancelToken) -> Option<T> + Sync,
-) -> Option<(usize, T)> {
-    let token = CancelToken::new();
-    let winner: Mutex<Option<(usize, T)>> = Mutex::new(None);
-    let run_one = |i: usize| {
-        if token.is_cancelled() {
-            return;
-        }
-        if let Some(v) = worker(i, &token) {
-            let mut slot = winner.lock().expect("racer panicked");
-            if slot.is_none() {
-                *slot = Some((i, v));
-                token.cancel();
-            }
-        }
-    };
-    let jobs = jobs.clamp(1, n.max(1));
-    if jobs <= 1 || n <= 1 {
-        // Inline mode: candidates run to completion in index order, the
-        // first definitive answer still wins and skips the rest.
-        (0..n).for_each(run_one);
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let next = &next;
-            let run_one = &run_one;
-            for w in 0..jobs {
-                s.spawn(move || {
-                    if alice_obs::tracing_enabled() {
-                        alice_obs::set_thread_name(&format!("par::race worker {w}"));
-                    }
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        run_one(i);
-                    }
-                });
-            }
-        });
-    }
-    winner.into_inner().expect("racer panicked")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,48 +85,5 @@ mod tests {
         let counts: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
         shard(64, 7, |i| counts[i].fetch_add(1, Ordering::Relaxed));
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn cancel_token_fires_across_clones() {
-        let t = CancelToken::new();
-        let u = t.clone();
-        assert!(!u.is_cancelled());
-        t.cancel();
-        assert!(u.is_cancelled());
-    }
-
-    #[test]
-    fn race_returns_a_winner_and_joins_everyone() {
-        let finished = AtomicUsize::new(0);
-        let won = race(8, 4, |i, token| {
-            // Everyone but index 3 spins until cancelled.
-            while i != 3 && !token.is_cancelled() {
-                std::thread::yield_now();
-            }
-            finished.fetch_add(1, Ordering::Relaxed);
-            (i == 3).then_some(i * 10)
-        });
-        assert_eq!(won, Some((3, 30)));
-        // The scope joined every spawned worker; each either ran to
-        // completion or observed the cancellation and bailed.
-        assert!(finished.load(Ordering::Relaxed) >= 1);
-    }
-
-    #[test]
-    fn race_with_no_answers_returns_none() {
-        assert_eq!(race::<usize>(5, 2, |_, _| None), None);
-        assert_eq!(race::<usize>(0, 2, |i, _| Some(i)), None);
-    }
-
-    #[test]
-    fn race_inline_takes_the_first_definitive_answer() {
-        let calls = AtomicUsize::new(0);
-        let won = race(6, 1, |i, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            (i >= 2).then_some(i)
-        });
-        assert_eq!(won, Some((2, 2)));
-        assert_eq!(calls.load(Ordering::Relaxed), 3, "indices 3..6 skipped");
     }
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! alice <design.v> [--config flow.yaml] [--top NAME] [--out DIR]
 //!       [--cfg1 | --cfg2] [--jobs N] [--report]
-//!       [--verify] [--wrong-keys N] [--portfolio N] [--no-cache]
+//!       [--verify] [--wrong-keys N] [--no-cache]
 //!       [--store DIR] [--store-budget BYTES]
 //!       [--trace FILE] [--metrics FILE]
 //! alice store stats <DIR>
@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: alice <design.v> [--config flow.yaml] [--top NAME] \
                      [--out DIR] [--cfg1 | --cfg2] [--jobs N] [--report] \
-                     [--verify] [--wrong-keys N] [--portfolio N] [--no-cache] \
+                     [--verify] [--wrong-keys N] [--no-cache] \
                      [--store DIR] [--store-budget BYTES] \
                      [--trace FILE] [--metrics FILE]\n\
                      \x20      alice store <stats|gc|clear> <DIR> [--budget BYTES]";
@@ -47,7 +47,6 @@ struct Args {
     report_only: bool,
     verify: bool,
     wrong_keys: Option<usize>,
-    portfolio: Option<usize>,
     no_cache: bool,
     store: Option<PathBuf>,
     store_budget: Option<u64>,
@@ -144,7 +143,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Command>, Str
         report_only: false,
         verify: false,
         wrong_keys: None,
-        portfolio: None,
         no_cache: false,
         store: None,
         store_budget: None,
@@ -191,11 +189,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Command>, Str
                 let v = value(&mut it, "--wrong-keys")?;
                 args.wrong_keys = Some(parse_count("--wrong-keys", &v, 1)?);
                 args.verify = true; // the sweep implies verification
-            }
-            "--portfolio" => {
-                // 1 = the classic single-solver path (the default).
-                let v = value(&mut it, "--portfolio")?;
-                args.portfolio = Some(parse_count("--portfolio", &v, 1)?);
             }
             "--verify" => args.verify = true,
             "--no-cache" => args.no_cache = true,
@@ -332,9 +325,6 @@ fn run_flow(
     if let Some(n) = args.wrong_keys {
         cfg.verify_wrong_keys = n;
     }
-    if let Some(n) = args.portfolio {
-        cfg.portfolio = n;
-    }
     if args.no_cache {
         // A/B baseline: run every characterization from scratch.
         cfg.cache = false;
@@ -393,9 +383,6 @@ fn run_flow(
             "alice: verify: {} ({} points, {} vars, {} clauses)",
             v.outcome, v.diff_points, v.cnf_vars, v.cnf_clauses
         );
-        if let Some(p) = &v.portfolio {
-            eprintln!("alice: verify: portfolio {p}");
-        }
         for wk in &v.wrong_keys {
             eprintln!(
                 "alice: wrong key (flipping {} bit(s)): {}/{} outputs corrupted{} in {} µs{}",
@@ -517,19 +504,6 @@ mod tests {
             .expect("args");
         assert!(a.verify, "--wrong-keys implies --verify");
         assert_eq!(a.wrong_keys, Some(5));
-    }
-
-    #[test]
-    fn portfolio_flag_parses() {
-        let a = parse(&["d.v", "--portfolio", "4"])
-            .expect("ok")
-            .expect("args");
-        assert_eq!(a.portfolio, Some(4));
-        let a = parse(&["d.v"]).expect("ok").expect("args");
-        assert_eq!(a.portfolio, None, "classic single solver by default");
-        let err = parse(&["d.v", "--portfolio", "0"]).expect_err("must reject");
-        assert!(err.contains("--portfolio"), "{err}");
-        assert!(err.contains("at least 1"), "{err}");
     }
 
     #[test]

@@ -5,10 +5,6 @@
 //! corruption counts, same completeness — on GCD and DES3 with the
 //! correct key plus 8 wrong keys. Only wall-clock may differ.
 //!
-//! A second guard drives `portfolio = 3` through the keyed miter:
-//! racing diversified members inside the long-lived engine may change
-//! which member answers, never what the answer is.
-//!
 //! SAT-heavy: ignored in debug builds, run by CI's release matrix entry.
 
 use alice_redaction::benchmarks;
@@ -16,21 +12,15 @@ use alice_redaction::core::config::AliceConfig;
 use alice_redaction::core::flow::{Flow, FlowOutcome};
 use alice_redaction::core::verify::VerifyOutcome;
 
-fn verified_run(
-    b: &benchmarks::Benchmark,
-    incremental: bool,
-    portfolio: usize,
-    wrong_keys: usize,
-) -> FlowOutcome {
+fn verified_run(b: &benchmarks::Benchmark, incremental: bool, wrong_keys: usize) -> FlowOutcome {
     let d = b.design().expect("load");
     let cfg = AliceConfig {
         verify: true,
         verify_wrong_keys: wrong_keys,
         incremental_cec: incremental,
-        portfolio,
         // Fixed worker count on both sides of each comparison, so the
         // sweep's slice partitioning is identical run-to-run.
-        jobs: portfolio.max(2),
+        jobs: 2,
         ..b.config(AliceConfig::cfg1())
     };
     Flow::new(cfg).run(&d).expect("flow")
@@ -40,8 +30,8 @@ fn verified_run(
 #[test]
 fn incremental_sweep_matches_the_fresh_baseline() {
     for b in [benchmarks::gcd::benchmark(), benchmarks::des3::benchmark()] {
-        let fresh = verified_run(&b, false, 1, 8);
-        let inc = verified_run(&b, true, 1, 8);
+        let fresh = verified_run(&b, false, 8);
+        let inc = verified_run(&b, true, 8);
         let vf = fresh.verify.as_ref().expect("verify ran");
         let vi = inc.verify.as_ref().expect("verify ran");
         assert_eq!(
@@ -76,32 +66,4 @@ fn incremental_sweep_matches_the_fresh_baseline() {
             b.name
         );
     }
-}
-
-#[cfg_attr(debug_assertions, ignore = "SAT-heavy; run with --release")]
-#[test]
-fn portfolio_keyed_miter_agrees_with_single() {
-    // `portfolio = 1` vs `3` through the incremental path: wrong keys
-    // force the keyed miter, and the race happens *inside* the
-    // long-lived engine via coherent member resets between assumption
-    // solves.
-    let b = benchmarks::gcd::benchmark();
-    let p1 = verified_run(&b, true, 1, 8);
-    let p3 = verified_run(&b, true, 3, 8);
-    let v1 = p1.verify.as_ref().expect("verify ran");
-    let v3 = p3.verify.as_ref().expect("verify ran");
-    assert_eq!(v1.outcome, VerifyOutcome::Equivalent);
-    assert_eq!(v3.outcome, v1.outcome, "portfolio changed the verdict");
-    assert_eq!(
-        v3.wrong_keys, v1.wrong_keys,
-        "portfolio changed the sweep's corruption results"
-    );
-    assert!(v1.portfolio.is_none(), "classic width reports no race");
-    let summary = v3.portfolio.as_ref().expect("raced proof has a summary");
-    assert_eq!(summary.configs, 3);
-    assert!(summary.winner < 3);
-    assert!(
-        summary.assumption_solves > 0,
-        "the keyed miter answers by assumption solves"
-    );
 }

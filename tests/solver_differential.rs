@@ -9,7 +9,6 @@
 //! Luby restarts rather than pure backtracking.
 
 use alice_redaction::attacks::solver::{Lit, SatResult, Solver, Var};
-use alice_redaction::attacks::{PortfolioEngine, SatEngine};
 use proptest::prelude::*;
 
 struct Cnf {
@@ -62,19 +61,12 @@ fn brute_force(cnf: &Cnf, pinned: &[(usize, bool)]) -> bool {
 
 fn load(cnf: &Cnf) -> (Solver, Vec<Var>) {
     let mut s = Solver::new();
-    let vars = load_into(cnf, &mut s);
-    (s, vars)
-}
-
-/// Loads `cnf` into any [`SatEngine`] — the portfolio runs the same
-/// differential suite as the plain solver through this seam.
-fn load_into(cnf: &Cnf, s: &mut dyn SatEngine) -> Vec<Var> {
     let vars: Vec<Var> = (0..cnf.vars).map(|_| s.new_var()).collect();
     for c in &cnf.clauses {
         let lits: Vec<Lit> = c.iter().map(|&(v, neg)| Lit::new(vars[v], neg)).collect();
         s.add_clause(&lits);
     }
-    vars
+    (s, vars)
 }
 
 proptest! {
@@ -159,7 +151,8 @@ proptest! {
     }
 
     /// A conflict budget may only turn an answer into Unknown, never
-    /// flip it; restarts under tiny budgets stay sound.
+    /// flip it; restarts under tiny budgets stay sound, and lifting the
+    /// budget on the same solver restores the definitive verdict.
     #[test]
     fn budget_never_flips_the_verdict(seed in 0u64..50_000, budget in 1u64..64) {
         let cnf = random_cnf(seed);
@@ -171,58 +164,8 @@ proptest! {
             SatResult::Unsat => prop_assert!(!expect_sat),
             SatResult::Unknown => {}
         }
-    }
-
-    /// The portfolio race passes the same differential suite as the
-    /// plain solver: whichever diversified member wins, verdicts match
-    /// brute force, models satisfy the formula, and assumption solving
-    /// stays sound across races.
-    #[test]
-    fn portfolio_agrees_with_brute_force(seed in 0u64..100_000) {
-        let cnf = random_cnf(seed);
-        let expect_sat = brute_force(&cnf, &[]);
-        let mut e = PortfolioEngine::new(3);
-        let vars = load_into(&cnf, &mut e);
-        match e.solve() {
-            SatResult::Sat => {
-                prop_assert!(expect_sat, "portfolio said SAT, brute force UNSAT");
-                let mut assignment = 0u64;
-                for (i, &v) in vars.iter().enumerate() {
-                    if e.value(v) == Some(true) {
-                        assignment |= 1 << i;
-                    }
-                }
-                for c in &cnf.clauses {
-                    prop_assert!(clause_satisfied(c, assignment), "winner's model violates a clause");
-                }
-            }
-            SatResult::Unsat => prop_assert!(!expect_sat, "portfolio said UNSAT, brute force SAT"),
-            SatResult::Unknown => prop_assert!(false, "no budget set, Unknown impossible"),
-        }
-        // Assumption round on the same engine, after the first race.
-        let pin = ((seed % cnf.vars as u64) as usize, seed & 1 == 1);
-        let expect = brute_force(&cnf, &[pin]);
-        let r = e.solve_with(&[Lit::new(vars[pin.0], !pin.1)]);
-        prop_assert_eq!(r == SatResult::Sat, expect);
-    }
-
-    /// A portfolio budget may only turn an answer into Unknown, and
-    /// Unknown surfaces exactly when every member exhausts.
-    #[test]
-    fn portfolio_budget_never_flips_the_verdict(seed in 0u64..50_000, budget in 1u64..64) {
-        let cnf = random_cnf(seed);
-        let expect_sat = brute_force(&cnf, &[]);
-        let mut e = PortfolioEngine::new(3);
-        load_into(&cnf, &mut e);
-        e.set_budget(Some(budget));
-        match e.solve() {
-            SatResult::Sat => prop_assert!(expect_sat),
-            SatResult::Unsat => prop_assert!(!expect_sat),
-            SatResult::Unknown => {}
-        }
-        // Lifting the budget restores the definitive verdict.
-        e.set_budget(None);
-        prop_assert_eq!(e.solve() == SatResult::Sat, expect_sat);
+        s.conflict_budget = None;
+        prop_assert_eq!(s.solve() == SatResult::Sat, expect_sat);
     }
 }
 
