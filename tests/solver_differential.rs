@@ -167,6 +167,33 @@ proptest! {
         s.conflict_budget = None;
         prop_assert_eq!(s.solve() == SatResult::Sat, expect_sat);
     }
+
+    /// The budget contract a caller that retries with a growing budget
+    /// relies on (the test keeps the name it had when a portfolio of
+    /// budgeted solvers made those retries): every `Unknown` leaves the
+    /// solver reusable with its learned clauses, each doubled budget
+    /// still never flips the verdict, the retries reach a definitive
+    /// answer, and lifting the budget afterwards repeats it.
+    #[test]
+    fn portfolio_budget_never_flips_the_verdict(seed in 0u64..50_000, budget in 1u64..64) {
+        let cnf = random_cnf(seed);
+        let expect_sat = brute_force(&cnf, &[]);
+        let (mut s, _) = load(&cnf);
+        let mut verdict = SatResult::Unknown;
+        for round in 0..20 {
+            s.conflict_budget = Some(budget << round);
+            verdict = s.solve();
+            match verdict {
+                SatResult::Sat => prop_assert!(expect_sat, "round {}", round),
+                SatResult::Unsat => prop_assert!(!expect_sat, "round {}", round),
+                SatResult::Unknown => continue,
+            }
+            break;
+        }
+        prop_assert!(verdict != SatResult::Unknown, "doubling budgets never settled");
+        s.conflict_budget = None;
+        prop_assert_eq!(s.solve() == SatResult::Sat, expect_sat);
+    }
 }
 
 /// A parity (XOR) chain forces deep conflict analysis and many restarts;
