@@ -18,6 +18,14 @@
 //! in place). Saved phases, variable activities, and the surviving
 //! learned clauses all persist across [`Solver::solve_with`] calls, so
 //! later queries on the same formula start warm.
+//!
+//! So does the trail. Consecutive queries that share leading assumption
+//! literals (a keyed miter asks about one difference point at a time
+//! under the same key) keep those decision levels and everything
+//! propagated under them, and decide only the literals that differ.
+//! Restarts still unwind to level 0. A [`Solver`] is `Clone`: a copy
+//! carries the whole search state, so one encoded and warmed formula
+//! can serve several threads.
 
 use alice_intern::Symbol;
 use std::collections::HashMap;
@@ -130,7 +138,7 @@ enum Assign {
 /// so picking the next decision variable is O(log n) instead of a linear
 /// scan — the difference between seconds and hours on CEC miters with
 /// tens of thousands of variables.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct OrderHeap {
     heap: Vec<u32>,
     /// Position of each variable in `heap`, or `NONE`.
@@ -284,7 +292,7 @@ pub struct EngineStats {
 /// assert_eq!(s.solve(), SatResult::Sat);
 /// assert_eq!(s.value(b), Some(true));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Solver {
     clauses: Vec<Vec<Lit>>,
     /// Reduction metadata, index-parallel to `clauses`.
@@ -306,10 +314,18 @@ pub struct Solver {
     reason: Vec<Option<usize>>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
+    /// The assumption literal decided at each of the lowest decision
+    /// levels (`assumed[i]` opened level `i + 1`); free decisions above
+    /// the assumptions are not recorded. Lets the next
+    /// [`Solver::solve_with`] keep the levels its assumptions share.
+    assumed: Vec<Lit>,
     qhead: usize,
     activity: Vec<f64>,
     act_inc: f64,
     order: OrderHeap,
+    /// Conflict-analysis marks, one per variable; all false between
+    /// conflicts.
+    seen: Vec<bool>,
     unsat: bool,
     /// Conflict budget for [`Solver::solve`]; `None` = unlimited.
     pub conflict_budget: Option<u64>,
@@ -357,6 +373,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.grow();
@@ -589,7 +606,6 @@ impl Solver {
     fn analyze(&mut self, mut confl: usize) -> (Vec<Lit>, u32) {
         let cur_level = self.trail_lim.len() as u32;
         let mut learned: Vec<Lit> = vec![Lit(0)]; // slot 0 for the UIP
-        let mut seen = vec![false; self.num_vars()];
         let mut counter = 0u32;
         let mut trail_idx = self.trail.len();
         let mut p: Option<Lit> = None;
@@ -599,13 +615,13 @@ impl Solver {
             self.bump_clause(confl);
             // Skip clause[0] of reason clauses: it is the implied literal p.
             let start = if p.is_none() { 0 } else { 1 };
-            let lits: Vec<Lit> = self.clauses[confl][start..].to_vec();
-            for q in lits {
+            for j in start..self.clauses[confl].len() {
+                let q = self.clauses[confl][j];
                 let v = q.var().0 as usize;
-                if seen[v] || self.level[v] == 0 {
+                if self.seen[v] || self.level[v] == 0 {
                     continue;
                 }
-                seen[v] = true;
+                self.seen[v] = true;
                 self.bump(q.var());
                 if self.level[v] >= cur_level {
                     counter += 1;
@@ -616,12 +632,12 @@ impl Solver {
             // Find the next seen literal on the trail.
             loop {
                 trail_idx -= 1;
-                if seen[self.trail[trail_idx].var().0 as usize] {
+                if self.seen[self.trail[trail_idx].var().0 as usize] {
                     break;
                 }
             }
             let pl = self.trail[trail_idx];
-            seen[pl.var().0 as usize] = false;
+            self.seen[pl.var().0 as usize] = false;
             counter -= 1;
             if counter == 0 {
                 p = Some(pl);
@@ -631,6 +647,11 @@ impl Solver {
             p = Some(pl);
         }
         learned[0] = p.expect("found UIP").negate();
+        // Every current-level mark was cleared as the walk resolved it;
+        // the marks left are exactly the lower-level literals learned.
+        for l in &learned[1..] {
+            self.seen[l.var().0 as usize] = false;
+        }
         // Backjump level = max level among the other literals; keep one
         // literal of that level at slot 1 so the watch pair stays valid
         // after the backjump.
@@ -650,6 +671,7 @@ impl Solver {
     }
 
     fn cancel_until(&mut self, level: u32) {
+        self.assumed.truncate(level as usize);
         while self.trail_lim.len() as u32 > level {
             let lim = self.trail_lim.pop().expect("non-empty");
             while self.trail.len() > lim {
@@ -784,6 +806,15 @@ impl Solver {
     /// lets equivalence checking discharge thousands of per-output and
     /// per-candidate-pair queries against one shared clause database,
     /// reusing everything learned between queries.
+    ///
+    /// The trail is kept between calls: a call whose assumptions start
+    /// with the same literals as the previous call's keeps those
+    /// decision levels, with everything they implied, and decides only
+    /// the rest. The last assumption is always decided afresh, so a
+    /// one-literal query always starts from level 0. Restarts, budget
+    /// exhaustion, [`Solver::add_clause`] and [`Solver::reset_to_root`]
+    /// still unwind to level 0, and the clause database is reduced only
+    /// there.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SatResult {
         if !assumptions.is_empty() {
             self.total_assumption_solves += 1;
@@ -812,15 +843,25 @@ impl Solver {
         if self.unsat {
             return SatResult::Unsat;
         }
-        self.cancel_until(0);
-        if self.propagate().is_some() {
-            self.unsat = true;
-            return SatResult::Unsat;
+        // The levels still holding a prefix of these assumptions are
+        // propagated already: keep them.
+        let kept = self
+            .assumed
+            .iter()
+            .zip(&assumptions[..assumptions.len().saturating_sub(1)])
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.cancel_until(kept as u32);
+        if kept == 0 {
+            if self.propagate().is_some() {
+                self.unsat = true;
+                return SatResult::Unsat;
+            }
+            // Incremental entry point: a burst of cheap assumption solves
+            // can accumulate clauses without ever restarting, so the
+            // database check runs here too, not only at restart points.
+            self.maybe_reduce();
         }
-        // Incremental entry point: a burst of cheap assumption solves
-        // can accumulate clauses without ever restarting, so the
-        // database check runs here too, not only at restart points.
-        self.maybe_reduce();
         self.conflicts = 0;
         let mut restart_idx = 0u64;
         let mut restart_limit = RESTART_BASE * luby(restart_idx);
@@ -884,18 +925,20 @@ impl Solver {
                     // literal (restarts and backjumps may have popped
                     // them). An already-false assumption is a conflict
                     // with what has been learned: UNSAT under
-                    // assumptions, but not globally.
+                    // assumptions, but not globally. The levels below it
+                    // stay for the next call to reuse.
                     let mut enqueued = false;
                     while self.trail_lim.len() < assumptions.len() {
                         let p = assumptions[self.trail_lim.len()];
                         match self.lit_value(p) {
-                            Assign::True => self.trail_lim.push(self.trail.len()),
-                            Assign::False => {
-                                self.cancel_until(0);
-                                return SatResult::Unsat;
+                            Assign::True => {
+                                self.trail_lim.push(self.trail.len());
+                                self.assumed.push(p);
                             }
+                            Assign::False => return SatResult::Unsat,
                             Assign::Unassigned => {
                                 self.trail_lim.push(self.trail.len());
+                                self.assumed.push(p);
                                 self.enqueue(p, None);
                                 enqueued = true;
                                 break;
@@ -1220,6 +1263,45 @@ mod tests {
         s.reset_to_root();
         // The model is gone but the formula still solves.
         assert_eq!(s.solve(), SatResult::Sat);
+    }
+
+    #[test]
+    fn shared_assumption_prefix_is_not_redecided() {
+        // k free prefix variables, each implying one more. Re-deciding
+        // the prefix would dequeue all k (and their implications) again
+        // for every query.
+        let k = 24;
+        let mut s = Solver::new();
+        let prefix: Vec<Lit> = (0..k)
+            .map(|_| {
+                let p = s.new_var();
+                let q = s.new_var();
+                s.add_clause(&[Lit::neg(p), Lit::pos(q)]);
+                Lit::pos(p)
+            })
+            .collect();
+        let x = s.new_var();
+        let y = s.new_var();
+        s.add_clause(&[Lit::pos(x), Lit::pos(y)]);
+        let mut query = prefix.clone();
+        query.push(Lit::neg(x));
+        assert_eq!(s.solve_with(&query), SatResult::Sat);
+        assert_eq!(s.value(y), Some(true));
+        let before = s.stats().propagations;
+        *query.last_mut().expect("non-empty") = Lit::neg(y);
+        assert_eq!(s.solve_with(&query), SatResult::Sat);
+        let dequeued = s.stats().propagations - before;
+        assert!(
+            dequeued < k as u64,
+            "{dequeued} literals dequeued for a query sharing {k} assumptions"
+        );
+        assert_eq!(s.value(x), Some(true));
+        assert!(prefix.iter().all(|p| s.value(p.var()) == Some(true)));
+        // The last assumption is decided afresh: repeating the query
+        // dequeues it again, and a conflicting one is still Unsat.
+        query.push(Lit::neg(x));
+        assert_eq!(s.solve_with(&query), SatResult::Unsat);
+        assert_eq!(s.solve_with(&prefix), SatResult::Sat);
     }
 
     #[test]

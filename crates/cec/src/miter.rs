@@ -858,6 +858,11 @@ impl Miter {
 /// only wall-clock — the keyed CNF keeps the configuration mux trees
 /// the pinned encode would have constant-folded, and in exchange
 /// amortizes encode and search effort across all N keys of a sweep.
+///
+/// A clone copies the whole solver state (learned clauses, activities,
+/// saved phases), so one built and warmed miter can serve several
+/// threads without encoding or sweeping the pair again.
+#[derive(Clone)]
 pub struct KeyedMiter {
     solver: Solver,
     shared_inputs: Vec<(Symbol, Vec<Lit>)>,

@@ -20,14 +20,15 @@
 //! computes the exact set of output/next-state bits an attacker-visible
 //! difference can reach — the security-relevant converse of the
 //! equivalence proof. By default (see [`AliceConfig::incremental_cec`])
-//! the sweep is *incremental*: unique flip sets are partitioned into
-//! contiguous slices across workers, each worker encodes the pair
-//! **once** as an assumption-parameterized [`KeyedMiter`] and answers
-//! its whole slice by `solve_with(assumptions)` on one long-lived
-//! solver — learned clauses, variable activities, and saved phases
-//! carry across keys, and the correct-key proof's already-warm solver
-//! is handed to the worker of the first slice. Verdicts and corruption
-//! counts are bit-identical to the pinned-constant baseline.
+//! the sweep is *incremental*: the pair is encoded and swept **once per
+//! verify**, as the assumption-parameterized [`KeyedMiter`] that proves
+//! the correct key. Unique flip sets are partitioned into contiguous
+//! slices across workers; the first slice keeps that warmed miter and
+//! every other slice gets a clone of it, and each worker answers its
+//! whole slice by `solve_with(assumptions)` on its one long-lived
+//! solver — learned clauses, variable activities, saved phases, and the
+//! key's own decision levels carry across queries. Verdicts and
+//! corruption counts are bit-identical to the pinned-constant baseline.
 
 use crate::config::AliceConfig;
 use crate::db::DesignDb;
@@ -99,9 +100,13 @@ pub struct WrongKeyOutcome {
     pub total: usize,
     /// False when the solver budget cut the analysis short.
     pub complete: bool,
-    /// Wall-clock of this key's miter build + SAT analysis, in
-    /// microseconds — per-miter, so one pathological key is visible
-    /// instead of hiding inside the sweep's aggregate mean.
+    /// Wall-clock of this key's analysis, in microseconds — per key, so
+    /// one pathological key is visible instead of hiding inside the
+    /// sweep's aggregate mean. On the incremental path this is the
+    /// assumption solves on a miter built before the sweep (only when
+    /// the proof came from the store does a worker's first uncached key
+    /// also pay for building one); the classic path builds a fresh
+    /// pinned miter per key, and that build is included.
     pub solve_us: u64,
     /// True when the verdict was served from the persistent proof
     /// cache instead of being solved.
@@ -248,13 +253,16 @@ pub fn verify_redaction(
     // The persistent proof cache: an identical (golden, revised, pins)
     // query across suite re-runs or CLI invocations skips the whole
     // miter build *and* the SAT proof. Only proven-Equivalent entries
-    // exist (see `alice_cec::cache`), so a hit is always a proof.
-    let store = db.store().map(Arc::as_ref);
-    let fp = miter_fingerprint(&golden, &revised, &opts);
-    let cached = store.and_then(|s| cec_cache::lookup_proof(s, fp));
+    // exist (see `alice_cec::cache`), so a hit is always a proof. The
+    // fingerprint keys nothing else, so without a store it is skipped.
+    let cache = db
+        .store()
+        .map(|s| (s.as_ref(), miter_fingerprint(&golden, &revised, &opts)));
+    let cached = cache.and_then(|(s, fp)| cec_cache::lookup_proof(s, fp));
     // The keyed miter behind an incremental correct-key proof, handed
-    // to the wrong-key sweep afterwards so its learned clauses,
-    // activities, and saved phases keep working across the wrong keys.
+    // to the wrong-key sweep afterwards (and cloned for its further
+    // slices) so its sweep, learned clauses, activities, and saved
+    // phases keep working across the wrong keys.
     let mut seed: Option<KeyedMiter> = None;
     // Incremental solving pays when its encode and search effort is
     // amortized over many keys; a lone correct-key proof stays on the
@@ -293,7 +301,7 @@ pub fn verify_redaction(
                 CecResult::NotEquivalent(cex) => VerifyOutcome::NotEquivalent(cex),
                 CecResult::ResourceLimit => VerifyOutcome::ResourceLimit,
             };
-            if let Some(s) = store {
+            if let Some((s, fp)) = cache {
                 if outcome.is_equivalent() {
                     cec_cache::record_proof(
                         s,
@@ -344,10 +352,13 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Identical flip sets are deduplicated up front — duplicates share one
 /// analysis — and the unique keys are partitioned into contiguous slices
 /// across [`shard`] workers. With [`AliceConfig::incremental_cec`] on,
-/// each worker owns one long-lived [`KeyedMiter`] (the worker of slice 0
-/// inherits the miter `seed`ed by the correct-key proof, complete with
-/// its learned clauses and saved phases) and answers its whole slice by
-/// assumption solves; otherwise every key builds a fresh pinned
+/// each slice owns one long-lived [`KeyedMiter`] and answers its whole
+/// slice by assumption solves. The miter `seed`ed by the correct-key
+/// proof, complete with its sweep, learned clauses and saved phases,
+/// goes to slice 0 and a clone of it to every other slice, all dealt
+/// out before the workers start; only when the proof came from the
+/// store (no `seed`) does each worker build its own, on its slice's
+/// first uncached key. Otherwise every key builds a fresh pinned
 /// [`Miter`], the classic baseline. Either way each wrong key remains
 /// its own cacheable query (its pins are part of the miter fingerprint,
 /// computed on the *pinned* options), so re-sweeping an identical
@@ -408,13 +419,23 @@ fn wrong_key_sweep(
     }
 
     let store = db.store().map(Arc::as_ref);
-    let seed = Mutex::new(seed);
     let jobs = cfg.effective_jobs();
     let workers = jobs.min(uniq.len()).max(1);
     let slices: Vec<&[usize]> = uniq.chunks(uniq.len().div_ceil(workers).max(1)).collect();
+    // One keyed miter per slice, dealt out before the shard starts:
+    // slice 0 keeps the proof's warmed miter and every other slice a
+    // clone of it, so no worker re-encodes or re-sweeps the pair and
+    // every slice's solver state is the same whatever the worker timing.
+    let mut warmed: Vec<Mutex<Option<KeyedMiter>>> = Vec::with_capacity(slices.len());
+    if let Some(km) = seed {
+        warmed.extend((1..slices.len()).map(|_| Mutex::new(Some(km.clone()))));
+        warmed.insert(0, Mutex::new(Some(km)));
+    }
+    warmed.resize_with(slices.len(), || Mutex::new(None));
     let sliced = shard(slices.len(), jobs, |w| {
-        // The worker's keyed miter, built on the slice's first uncached key.
-        let mut km: Option<KeyedMiter> = None;
+        // Without a proof miter (the proof came from the store), the
+        // worker builds its own on the slice's first uncached key.
+        let mut km = warmed[w].lock().expect("a sweep worker panicked").take();
         let mut out: Vec<WrongKeyOutcome> = Vec::with_capacity(slices[w].len());
         for &k in slices[w] {
             let _span = alice_obs::span_with("verify.wrong_key", || format!("key {k}"));
@@ -430,8 +451,8 @@ fn wrong_key_sweep(
                     *v = nv;
                 }
             }
-            let fp = miter_fingerprint(golden, revised, &opts);
-            if let Some(hit) = store.and_then(|s| cec_cache::lookup_corruption(s, fp)) {
+            let cache = store.map(|s| (s, miter_fingerprint(golden, revised, &opts)));
+            if let Some(hit) = cache.and_then(|(s, fp)| cec_cache::lookup_corruption(s, fp)) {
                 db.count_external_disk_hit();
                 out.push(WrongKeyOutcome {
                     flipped: flips[k].clone(),
@@ -444,13 +465,6 @@ fn wrong_key_sweep(
                 continue;
             }
             let c = if cfg.incremental_cec {
-                if km.is_none() && w == 0 {
-                    // Slice 0 inherits the correct-key prover's warmed
-                    // solver; the other slices encode once for their
-                    // whole slice. A fixed heir keeps solver counts
-                    // independent of worker timing.
-                    km = seed.lock().expect("a sweep worker panicked").take();
-                }
                 if km.is_none() {
                     km = Some(KeyedMiter::build(golden, revised, &base, 0)?);
                 }
@@ -458,7 +472,7 @@ fn wrong_key_sweep(
             } else {
                 Miter::build(golden, revised, &opts)?.corruption()
             };
-            if let Some(s) = store {
+            if let Some((s, fp)) = cache {
                 if c.complete {
                     cec_cache::record_corruption(
                         s,

@@ -38,6 +38,23 @@ fn random_cnf(seed: u64) -> Cnf {
     Cnf { vars, clauses }
 }
 
+/// Random 3-SAT at 3 clauses per variable, below the phase transition,
+/// so most assumption queries against it are satisfiable.
+fn sparse_3sat(seed: u64) -> Cnf {
+    let mut rng = proptest::TestRng::deterministic(&format!("3sat-{seed}"));
+    let vars = 8 + (rng.next_u64() % 7) as usize; // 8..=14
+    let mut lit = || {
+        (
+            (rng.next_u64() % vars as u64) as usize,
+            rng.next_u64() & 1 == 1,
+        )
+    };
+    let clauses = (0..3 * vars)
+        .map(|_| (0..3).map(|_| lit()).collect())
+        .collect();
+    Cnf { vars, clauses }
+}
+
 fn clause_satisfied(clause: &[(usize, bool)], assignment: u64) -> bool {
     clause
         .iter()
@@ -57,6 +74,14 @@ fn brute_force(cnf: &Cnf, pinned: &[(usize, bool)]) -> bool {
         }
     }
     false
+}
+
+/// The model after a `Sat` answer, one bit per variable.
+fn model(s: &Solver, vars: &[Var]) -> u64 {
+    vars.iter()
+        .enumerate()
+        .filter(|&(_, &v)| s.value(v) == Some(true))
+        .fold(0, |bits, (i, _)| bits | 1 << i)
 }
 
 fn load(cnf: &Cnf) -> (Solver, Vec<Var>) {
@@ -82,12 +107,7 @@ proptest! {
         match s.solve() {
             SatResult::Sat => {
                 prop_assert!(expect_sat, "solver said SAT, brute force UNSAT");
-                let mut assignment = 0u64;
-                for (i, &v) in vars.iter().enumerate() {
-                    if s.value(v) == Some(true) {
-                        assignment |= 1 << i;
-                    }
-                }
+                let assignment = model(&s, &vars);
                 for c in &cnf.clauses {
                     prop_assert!(clause_satisfied(c, assignment), "model violates a clause");
                 }
@@ -147,6 +167,72 @@ proptest! {
                 fresh.add_clause(&[Lit::new(fvars[v], !val)]);
             }
             prop_assert_eq!(got, fresh.solve(), "pins {:?}", pinned);
+        }
+    }
+
+    /// Prefix reuse: consecutive `solve_with` calls share a random
+    /// prefix and vary one trailing literal, so the solver keeps the
+    /// prefix's decision levels between calls. Every few calls the
+    /// prefix keeps a random head and gets a new tail, and plain solves,
+    /// `reset_to_root` and new clauses are interleaved. Every verdict
+    /// equals brute force on the clauses added so far, and every model
+    /// satisfies them and all the assumptions.
+    #[test]
+    fn shared_prefix_queries_agree_with_brute_force(seed in 0u64..100_000) {
+        // Mostly satisfiable, so most answers leave their levels on the
+        // trail for the next query.
+        let mut cnf = sparse_3sat(seed);
+        let (mut s, vars) = load(&cnf);
+        let mut rng = proptest::TestRng::deterministic(&format!("prefix-{seed}"));
+        let lit = |rng: &mut proptest::TestRng| {
+            ((rng.next_u64() % cnf.vars as u64) as usize, rng.next_u64() & 1 == 1)
+        };
+        let mut prefix: Vec<(usize, bool)> = Vec::new();
+        for call in 0..32 {
+            if call % (2 + (rng.next_u64() % 3) as usize) == 0 {
+                // Keep a random head of the old prefix, so a new prefix
+                // can share levels with queries before the last one.
+                prefix.truncate((rng.next_u64() % (prefix.len() as u64 + 1)) as usize);
+                prefix.extend((0..1 + rng.next_u64() % 3).map(|_| lit(&mut rng)));
+            }
+            match rng.next_u64() % 16 {
+                0 => {
+                    let expect = brute_force(&cnf, &[]);
+                    prop_assert_eq!(s.solve() == SatResult::Sat, expect, "call {}", call);
+                }
+                1 => s.reset_to_root(),
+                2 => {
+                    let clause: Vec<(usize, bool)> =
+                        (0..2 + rng.next_u64() % 2).map(|_| lit(&mut rng)).collect();
+                    let lits: Vec<Lit> =
+                        clause.iter().map(|&(v, neg)| Lit::new(vars[v], neg)).collect();
+                    s.add_clause(&lits);
+                    cnf.clauses.push(clause);
+                }
+                _ => {}
+            }
+            let mut pinned = prefix.clone();
+            pinned.push(lit(&mut rng));
+            let assumptions: Vec<Lit> =
+                pinned.iter().map(|&(v, val)| Lit::new(vars[v], !val)).collect();
+            let expect = brute_force(&cnf, &pinned);
+            match s.solve_with(&assumptions) {
+                SatResult::Sat => {
+                    prop_assert!(expect, "call {}: solver SAT, brute force UNSAT", call);
+                    let assignment = model(&s, &vars);
+                    for c in &cnf.clauses {
+                        prop_assert!(clause_satisfied(c, assignment), "call {}: clause", call);
+                    }
+                    for &(v, val) in &pinned {
+                        let got = (assignment >> v) & 1 == 1;
+                        prop_assert_eq!(got, val, "call {}: model breaks an assumption", call);
+                    }
+                }
+                SatResult::Unsat => {
+                    prop_assert!(!expect, "call {}: solver UNSAT, brute force SAT", call)
+                }
+                SatResult::Unknown => prop_assert!(false, "no budget set"),
+            }
         }
     }
 
