@@ -26,6 +26,20 @@
 //! Restarts still unwind to level 0. A [`Solver`] is `Clone`: a copy
 //! carries the whole search state, so one encoded and warmed formula
 //! can serve several threads.
+//!
+//! # Clause store
+//!
+//! Every clause's literals sit back to back in one `arena: Vec<Lit>`;
+//! a clause is a `u32` reference into `clauses`, whose `(start, len)`
+//! span locates its literals. Watch lists and implication reasons hold
+//! those references, and a variable with no reason clause (a decision,
+//! an assumption, or a root-level unit) holds the `NO_REASON` sentinel.
+//! Literal values are kept per literal, both polarities, so reading one
+//! is a single byte load. Propagation relies on one invariant: a
+//! clause's two watched literals are its first two, so a visit only
+//! swaps the falsified watch into slot 1 when it sits in slot 0.
+//! Reduction compacts the arena in clause order and remaps every
+//! reference, and a clone copies the whole store as a few flat blocks.
 
 use alice_intern::Symbol;
 use std::collections::HashMap;
@@ -134,6 +148,23 @@ enum Assign {
     False,
 }
 
+/// Reason of a variable no clause implied: a decision, an assumption,
+/// a root-level unit, or an unassigned variable.
+const NO_REASON: u32 = u32::MAX;
+
+/// Where one clause's literals sit in `Solver::arena`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// Indexed max-heap over variable activities (MiniSat's `order_heap`),
 /// so picking the next decision variable is O(log n) instead of a linear
 /// scan — the difference between seconds and hours on CEC miters with
@@ -225,7 +256,7 @@ impl OrderHeap {
     }
 }
 
-/// Per-clause bookkeeping for database reduction, parallel to
+/// Per-clause bookkeeping for database reduction, index-parallel to
 /// `Solver::clauses`.
 #[derive(Debug, Clone, Copy)]
 struct ClauseInfo {
@@ -294,7 +325,10 @@ pub struct EngineStats {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Solver {
-    clauses: Vec<Vec<Lit>>,
+    /// The literals of every clause, back to back in clause order.
+    arena: Vec<Lit>,
+    /// Each clause's span in `arena`, indexed by clause reference.
+    clauses: Vec<Span>,
     /// Reduction metadata, index-parallel to `clauses`.
     clause_info: Vec<ClauseInfo>,
     /// Clause-activity bump amount (grows as `cla_inc / CLAUSE_DECAY`
@@ -307,11 +341,13 @@ pub struct Solver {
     /// Live learned count that triggers the next reduction; `0` = not
     /// yet derived from the instance size.
     reduce_limit: u64,
-    watches: Vec<Vec<usize>>, // per literal: clause indices
-    assigns: Vec<Assign>,
+    watches: Vec<Vec<u32>>, // per literal: clause references
+    /// Per literal (indexed by `Lit::index`): its current value.
+    values: Vec<Assign>,
     phase: Vec<bool>,
     level: Vec<u32>,
-    reason: Vec<Option<usize>>,
+    /// Per variable: the clause that implied it, or `NO_REASON`.
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     /// The assumption literal decided at each of the lowest decision
@@ -367,11 +403,12 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(Assign::Unassigned);
+        let v = Var(self.level.len() as u32);
+        self.values.push(Assign::Unassigned);
+        self.values.push(Assign::Unassigned);
         self.phase.push(false);
         self.level.push(0);
-        self.reason.push(None);
+        self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.seen.push(false);
         self.watches.push(Vec::new());
@@ -416,7 +453,7 @@ impl Solver {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of clauses (original + learned).
@@ -452,25 +489,44 @@ impl Solver {
                 if self.lit_value(c[0]) == Assign::False {
                     self.unsat = true;
                 } else if self.lit_value(c[0]) == Assign::Unassigned {
-                    self.enqueue(c[0], None);
+                    self.enqueue(c[0], NO_REASON);
                     if self.propagate().is_some() {
                         self.unsat = true;
                     }
                 }
             }
             _ => {
-                let idx = self.clauses.len();
-                self.watches[c[0].index()].push(idx);
-                self.watches[c[1].index()].push(idx);
-                self.clauses.push(c);
-                self.clause_info.push(ClauseInfo {
-                    learned: false,
-                    lbd: 0,
-                    act: 0.0,
-                });
+                self.push_clause(
+                    &c,
+                    ClauseInfo {
+                        learned: false,
+                        lbd: 0,
+                        act: 0.0,
+                    },
+                );
                 self.originals += 1;
             }
         }
+    }
+
+    /// Appends a clause of two or more literals to the arena, watches
+    /// its first two, and returns its reference.
+    fn push_clause(&mut self, lits: &[Lit], info: ClauseInfo) -> u32 {
+        let end = self.arena.len() + lits.len();
+        assert!(
+            end <= u32::MAX as usize && self.clauses.len() < NO_REASON as usize,
+            "clause store outgrew its u32 offsets"
+        );
+        let ci = self.clauses.len() as u32;
+        self.watches[lits[0].index()].push(ci);
+        self.watches[lits[1].index()].push(ci);
+        self.clauses.push(Span {
+            start: self.arena.len() as u32,
+            len: lits.len() as u32,
+        });
+        self.arena.extend_from_slice(lits);
+        self.clause_info.push(info);
+        ci
     }
 
     /// Unwinds the search to decision level 0, keeping every assignment
@@ -483,40 +539,21 @@ impl Solver {
     }
 
     fn lit_value(&self, l: Lit) -> Assign {
-        match self.assigns[l.var().0 as usize] {
-            Assign::Unassigned => Assign::Unassigned,
-            Assign::True => {
-                if l.is_neg() {
-                    Assign::False
-                } else {
-                    Assign::True
-                }
-            }
-            Assign::False => {
-                if l.is_neg() {
-                    Assign::True
-                } else {
-                    Assign::False
-                }
-            }
-        }
+        self.values[l.index()]
     }
 
-    fn enqueue(&mut self, l: Lit, reason: Option<usize>) {
+    fn enqueue(&mut self, l: Lit, reason: u32) {
         let v = l.var().0 as usize;
-        self.assigns[v] = if l.is_neg() {
-            Assign::False
-        } else {
-            Assign::True
-        };
+        self.values[l.index()] = Assign::True;
+        self.values[l.negate().index()] = Assign::False;
         self.phase[v] = !l.is_neg();
         self.level[v] = self.trail_lim.len() as u32;
         self.reason[v] = reason;
         self.trail.push(l);
     }
 
-    /// Unit propagation; returns a conflicting clause index if any.
-    fn propagate(&mut self) -> Option<usize> {
+    /// Unit propagation; returns a conflicting clause if any.
+    fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let l = self.trail[self.qhead];
             self.qhead += 1;
@@ -527,47 +564,33 @@ impl Solver {
             let mut watch_list = std::mem::take(&mut self.watches[falsified.index()]);
             while i < watch_list.len() {
                 let ci = watch_list[i];
-                // Ensure watched literal is at position 1.
-                let pos = self.clauses[ci]
-                    .iter()
-                    .position(|&x| x == falsified)
-                    .expect("watched literal in clause");
-                self.clauses[ci].swap(pos, 1);
-                if self.lit_value(self.clauses[ci][0]) == Assign::True {
+                let c = &mut self.arena[self.clauses[ci as usize].range()];
+                // The watched pair is c[0], c[1]: put the falsified one
+                // at position 1.
+                if c[0] == falsified {
+                    c.swap(0, 1);
+                }
+                let first = c[0];
+                if self.values[first.index()] == Assign::True {
                     i += 1;
                     continue; // clause satisfied
                 }
                 // Find a new watch.
-                let mut moved = false;
-                for k in 2..self.clauses[ci].len() {
-                    if self.lit_value(self.clauses[ci][k]) != Assign::False {
-                        self.clauses[ci].swap(1, k);
-                        let new_watch = self.clauses[ci][1];
-                        self.watches[new_watch.index()].push(ci);
-                        watch_list.swap_remove(i);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                if let Some(k) = (2..c.len()).find(|&k| self.values[c[k].index()] != Assign::False)
+                {
+                    c.swap(1, k);
+                    self.watches[c[1].index()].push(ci);
+                    watch_list.swap_remove(i);
                     continue;
                 }
                 // Clause is unit or conflicting.
-                let first = self.clauses[ci][0];
-                match self.lit_value(first) {
-                    Assign::False => {
-                        // Conflict: restore remaining watches.
-                        self.watches[falsified.index()] = watch_list;
-                        return Some(ci);
-                    }
-                    Assign::Unassigned => {
-                        self.enqueue(first, Some(ci));
-                        i += 1;
-                    }
-                    Assign::True => {
-                        i += 1;
-                    }
+                if self.values[first.index()] == Assign::False {
+                    // Conflict: restore remaining watches.
+                    self.watches[falsified.index()] = watch_list;
+                    return Some(ci);
                 }
+                self.enqueue(first, ci);
+                i += 1;
             }
             self.watches[falsified.index()] = watch_list;
         }
@@ -589,12 +612,13 @@ impl Solver {
     /// Bumps a learned clause's activity (originals are permanent and
     /// carry none). Mirrors variable bumping, with the same uniform
     /// overflow rescale.
-    fn bump_clause(&mut self, ci: usize) {
-        if !self.clause_info[ci].learned {
+    fn bump_clause(&mut self, ci: u32) {
+        let info = &mut self.clause_info[ci as usize];
+        if !info.learned {
             return;
         }
-        self.clause_info[ci].act += self.cla_inc;
-        if self.clause_info[ci].act > 1e20 {
+        info.act += self.cla_inc;
+        if info.act > 1e20 {
             for info in &mut self.clause_info {
                 info.act *= 1e-20;
             }
@@ -603,7 +627,7 @@ impl Solver {
     }
 
     /// First-UIP conflict analysis; returns (learned clause, backjump level).
-    fn analyze(&mut self, mut confl: usize) -> (Vec<Lit>, u32) {
+    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
         let cur_level = self.trail_lim.len() as u32;
         let mut learned: Vec<Lit> = vec![Lit(0)]; // slot 0 for the UIP
         let mut counter = 0u32;
@@ -614,9 +638,9 @@ impl Solver {
             // pulling their weight; their activity decides reduction.
             self.bump_clause(confl);
             // Skip clause[0] of reason clauses: it is the implied literal p.
-            let start = if p.is_none() { 0 } else { 1 };
-            for j in start..self.clauses[confl].len() {
-                let q = self.clauses[confl][j];
+            let skip = if p.is_none() { 0 } else { 1 };
+            for j in self.clauses[confl as usize].range().skip(skip) {
+                let q = self.arena[j];
                 let v = q.var().0 as usize;
                 if self.seen[v] || self.level[v] == 0 {
                     continue;
@@ -643,7 +667,8 @@ impl Solver {
                 p = Some(pl);
                 break;
             }
-            confl = self.reason[pl.var().0 as usize].expect("implied literal has a reason");
+            confl = self.reason[pl.var().0 as usize];
+            debug_assert_ne!(confl, NO_REASON, "implied literal has a reason");
             p = Some(pl);
         }
         learned[0] = p.expect("found UIP").negate();
@@ -677,8 +702,9 @@ impl Solver {
             while self.trail.len() > lim {
                 let l = self.trail.pop().expect("non-empty");
                 let v = l.var().0 as usize;
-                self.assigns[v] = Assign::Unassigned;
-                self.reason[v] = None;
+                self.values[l.index()] = Assign::Unassigned;
+                self.values[l.negate().index()] = Assign::Unassigned;
+                self.reason[v] = NO_REASON;
                 self.order.insert(&self.activity, v as u32);
             }
         }
@@ -707,16 +733,18 @@ impl Solver {
     /// Drops the coldest half of the deletable learned clauses and
     /// compacts the database. Deletable = learned, glue (LBD) > 2, and
     /// not locked as the reason of a current implication; originals are
-    /// permanent. Watch lists and reason pointers are rebuilt against
-    /// the compacted indices — positions 0/1 of every clause are its
+    /// permanent. The surviving clauses keep their order and slide down
+    /// the arena; watch lists and reasons are rebuilt against the
+    /// compacted references — positions 0/1 of every clause are its
     /// watched literals by invariant, so re-pushing them reproduces a
     /// valid watch state.
     fn reduce_db(&mut self) {
         debug_assert!(self.trail_lim.is_empty(), "reduce only at level 0");
         let mut locked = vec![false; self.clauses.len()];
         for l in &self.trail {
-            if let Some(ci) = self.reason[l.var().0 as usize] {
-                locked[ci] = true;
+            let ci = self.reason[l.var().0 as usize];
+            if ci != NO_REASON {
+                locked[ci as usize] = true;
             }
         }
         let mut cand: Vec<usize> = (0..self.clauses.len())
@@ -744,33 +772,42 @@ impl Solver {
         for &ci in &cand[..ndrop] {
             drop_mask[ci] = true;
         }
-        // Compact in place, recording the old -> new index map.
-        let mut remap: Vec<usize> = vec![usize::MAX; self.clauses.len()];
-        let mut w = 0usize;
+        // Compact in place, recording the old -> new reference map.
+        // Spans ascend with the reference, so the write end never
+        // passes the span being read.
+        let mut remap = vec![NO_REASON; self.clauses.len()];
+        let (mut w, mut end) = (0usize, 0u32);
         for r in 0..self.clauses.len() {
             if drop_mask[r] {
                 continue;
             }
-            if w != r {
-                self.clauses.swap(w, r);
-                self.clause_info.swap(w, r);
-            }
-            remap[r] = w;
+            let span = self.clauses[r];
+            self.arena.copy_within(span.range(), end as usize);
+            self.clauses[w] = Span {
+                start: end,
+                len: span.len,
+            };
+            self.clause_info[w] = self.clause_info[r];
+            remap[r] = w as u32;
             w += 1;
+            end += span.len;
         }
+        self.arena.truncate(end as usize);
         self.clauses.truncate(w);
         self.clause_info.truncate(w);
         for wl in &mut self.watches {
             wl.clear();
         }
-        for ci in 0..self.clauses.len() {
-            let (l0, l1) = (self.clauses[ci][0], self.clauses[ci][1]);
-            self.watches[l0.index()].push(ci);
-            self.watches[l1.index()].push(ci);
+        for (ci, span) in self.clauses.iter().enumerate() {
+            let c = &self.arena[span.range()];
+            self.watches[c[0].index()].push(ci as u32);
+            self.watches[c[1].index()].push(ci as u32);
         }
-        for r in self.reason.iter_mut().flatten() {
-            *r = remap[*r];
-            debug_assert_ne!(*r, usize::MAX, "locked clauses are kept");
+        for r in &mut self.reason {
+            if *r != NO_REASON {
+                *r = remap[*r as usize];
+                debug_assert_ne!(*r, NO_REASON, "locked clauses are kept");
+            }
         }
         self.learned_live -= ndrop as u64;
         self.total_learned_dropped += ndrop as u64;
@@ -780,8 +817,9 @@ impl Solver {
     fn decide(&mut self) -> Option<Lit> {
         // Lazy deletion: assigned variables are dropped as they surface.
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.assigns[v as usize] == Assign::Unassigned {
-                return Some(Lit::new(Var(v), !self.phase[v as usize]));
+            let l = Lit::new(Var(v), !self.phase[v as usize]);
+            if self.lit_value(l) == Assign::Unassigned {
+                return Some(l);
             }
         }
         None
@@ -895,20 +933,18 @@ impl Solver {
                     self.cancel_until(bj);
                     self.total_learned += 1;
                     if learned.len() == 1 {
-                        self.enqueue(learned[0], None);
+                        self.enqueue(learned[0], NO_REASON);
                     } else {
-                        let idx = self.clauses.len();
-                        self.watches[learned[0].index()].push(idx);
-                        self.watches[learned[1].index()].push(idx);
-                        let unit = learned[0];
-                        self.clauses.push(learned);
-                        self.clause_info.push(ClauseInfo {
-                            learned: true,
-                            lbd,
-                            act: self.cla_inc,
-                        });
+                        let ci = self.push_clause(
+                            &learned,
+                            ClauseInfo {
+                                learned: true,
+                                lbd,
+                                act: self.cla_inc,
+                            },
+                        );
                         self.learned_live += 1;
-                        self.enqueue(unit, Some(idx));
+                        self.enqueue(learned[0], ci);
                     }
                     self.act_inc /= VAR_DECAY;
                     self.cla_inc /= CLAUSE_DECAY;
@@ -939,7 +975,7 @@ impl Solver {
                             Assign::Unassigned => {
                                 self.trail_lim.push(self.trail.len());
                                 self.assumed.push(p);
-                                self.enqueue(p, None);
+                                self.enqueue(p, NO_REASON);
                                 enqueued = true;
                                 break;
                             }
@@ -952,7 +988,7 @@ impl Solver {
                         None => return SatResult::Sat,
                         Some(l) => {
                             self.trail_lim.push(self.trail.len());
-                            self.enqueue(l, None);
+                            self.enqueue(l, NO_REASON);
                         }
                     }
                 }
@@ -962,7 +998,7 @@ impl Solver {
 
     /// Model value of `v` after a SAT answer (`None` if unassigned).
     pub fn value(&self, v: Var) -> Option<bool> {
-        match self.assigns[v.0 as usize] {
+        match self.lit_value(Lit::pos(v)) {
             Assign::Unassigned => None,
             Assign::True => Some(true),
             Assign::False => Some(false),
@@ -1250,6 +1286,93 @@ mod tests {
         s.reduce_limit = 1;
         assert_eq!(s.solve(), SatResult::Unsat);
         assert_eq!(s.solve(), SatResult::Unsat, "state intact after reduce");
+    }
+
+    /// SplitMix64: the seeded stream of the property test below.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn lit(&mut self, vars: usize) -> Lit {
+            Lit::new(Var(self.below(vars as u64) as u32), self.below(2) == 1)
+        }
+    }
+
+    fn holds(l: Lit, assignment: u64) -> bool {
+        ((assignment >> l.var().0) & 1 == 1) != l.is_neg()
+    }
+
+    #[test]
+    fn reduction_on_every_call_agrees_with_brute_force() {
+        // Random 5-SAT just below its phase transition (~21 clauses per
+        // variable), so both verdicts occur and conflicts learn long,
+        // deletable clauses. The database is reduced at every solve
+        // entry and restart, with assumption solves, resets and new
+        // clauses interleaved: the arena compaction and its reference
+        // remap run between queries whose answers must stay exact.
+        let (mut dropped, mut verdicts) = (0, [0; 2]);
+        for seed in 0..64 {
+            let mut rng = SplitMix(seed);
+            let vars = 12 + rng.below(4) as usize; // 12..=15
+            let mut s = Solver::new();
+            for _ in 0..vars {
+                s.new_var();
+            }
+            s.reduce_limit = 1;
+            // Every assignment that satisfies the clauses added so far.
+            let mut models: Vec<u64> = (0..1u64 << vars).collect();
+            let add = |s: &mut Solver, models: &mut Vec<u64>, c: Vec<Lit>| {
+                s.add_clause(&c);
+                models.retain(|&a| c.iter().any(|&l| holds(l, a)));
+            };
+            for _ in 0..vars * 18 {
+                let c = (0..5).map(|_| rng.lit(vars)).collect();
+                add(&mut s, &mut models, c);
+            }
+            for call in 0..32 {
+                match rng.below(8) {
+                    0 => s.reset_to_root(),
+                    1 => {
+                        let c = (0..3 + rng.below(3)).map(|_| rng.lit(vars)).collect();
+                        add(&mut s, &mut models, c);
+                    }
+                    _ => {}
+                }
+                let assumptions: Vec<Lit> = (0..1 + rng.below(4)).map(|_| rng.lit(vars)).collect();
+                let expect = models
+                    .iter()
+                    .any(|&a| assumptions.iter().all(|&l| holds(l, a)));
+                match s.solve_with(&assumptions) {
+                    SatResult::Sat => {
+                        verdicts[0] += 1;
+                        assert!(expect, "seed {seed} call {call}: SAT, brute force UNSAT");
+                        let a = (0..vars)
+                            .filter(|&v| s.value(Var(v as u32)) == Some(true))
+                            .fold(0u64, |bits, v| bits | 1 << v);
+                        assert!(models.contains(&a), "seed {seed} call {call}: bad model");
+                        assert!(
+                            assumptions.iter().all(|&l| holds(l, a)),
+                            "seed {seed} call {call}: model breaks an assumption"
+                        );
+                    }
+                    SatResult::Unsat => {
+                        verdicts[1] += 1;
+                        assert!(!expect, "seed {seed} call {call}: UNSAT, brute force SAT")
+                    }
+                    SatResult::Unknown => panic!("no budget set"),
+                }
+            }
+            dropped += s.total_learned_dropped;
+        }
+        assert!(dropped > 0, "the run must actually reduce");
+        assert!(verdicts.iter().all(|&n| n > 0), "both verdicts occur");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! exercise unit propagation, conflict analysis, clause learning, and
 //! Luby restarts rather than pure backtracking.
 
-use alice_redaction::attacks::solver::{Lit, SatResult, Solver, Var};
+use alice_redaction::attacks::solver::{EngineStats, Lit, SatResult, Solver, Var};
 use proptest::prelude::*;
 
 struct Cnf {
@@ -306,4 +306,102 @@ fn parity_chains_exercise_restarts() {
         s.add_clause(&[Lit::new(vars[n - 1], (n - 1) % 2 == 1)]);
         assert_eq!(s.solve(), SatResult::Unsat, "n={n} forced parity break");
     }
+}
+
+/// Folds `bits` into a running FNV-1a digest.
+fn fnv(digest: u64, bits: u64) -> u64 {
+    bits.to_le_bytes().iter().fold(digest, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn add_stats(a: EngineStats, b: EngineStats) -> EngineStats {
+    EngineStats {
+        conflicts: a.conflicts + b.conflicts,
+        learned: a.learned + b.learned,
+        propagations: a.propagations + b.propagations,
+        restarts: a.restarts + b.restarts,
+        assumption_solves: a.assumption_solves + b.assumption_solves,
+        learned_kept: a.learned_kept + b.learned_kept,
+        learned_dropped: a.learned_dropped + b.learned_dropped,
+    }
+}
+
+/// The search itself, pinned: a fixed seeded sequence of `solve_with`,
+/// `add_clause` and `reset_to_root` calls must reproduce these effort
+/// counts, verdicts and models exactly. A change to the watch-visit
+/// order, to which watch is replaced, or to the literal order inside a
+/// clause moves them; a faster store for the same search does not.
+#[test]
+fn search_counts_are_pinned() {
+    let mut total = EngineStats::default();
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for seed in 0..40 {
+        let cnf = sparse_3sat(seed);
+        let (mut s, vars) = load(&cnf);
+        let mut rng = proptest::TestRng::deterministic(&format!("pinned-{seed}"));
+        let lit = |rng: &mut proptest::TestRng| {
+            let v = vars[(rng.next_u64() % cnf.vars as u64) as usize];
+            Lit::new(v, rng.next_u64() & 1 == 1)
+        };
+        for _ in 0..24 {
+            match rng.next_u64() % 8 {
+                0 => s.reset_to_root(),
+                1 => {
+                    let clause: Vec<Lit> =
+                        (0..2 + rng.next_u64() % 2).map(|_| lit(&mut rng)).collect();
+                    s.add_clause(&clause);
+                }
+                _ => {}
+            }
+            let assumptions: Vec<Lit> =
+                (0..1 + rng.next_u64() % 4).map(|_| lit(&mut rng)).collect();
+            let verdict = s.solve_with(&assumptions);
+            digest = fnv(digest, verdict as u64);
+            if verdict == SatResult::Sat {
+                digest = fnv(digest, model(&s, &vars));
+            }
+        }
+        total = add_stats(total, s.stats());
+    }
+    // A pigeonhole core behind a selector: UNSAT with the selector
+    // assumed, SAT without it, asked repeatedly on one warm solver.
+    let mut s = Solver::new();
+    let sel = s.new_var();
+    let (pigeons, holes) = (8, 7);
+    let p: Vec<Vec<Var>> = (0..pigeons)
+        .map(|_| (0..holes).map(|_| s.new_var()).collect())
+        .collect();
+    for row in &p {
+        let mut c: Vec<Lit> = row.iter().map(|&v| Lit::pos(v)).collect();
+        c.push(Lit::neg(sel));
+        s.add_clause(&c);
+    }
+    for i1 in 0..pigeons {
+        for i2 in (i1 + 1)..pigeons {
+            for (&x, &y) in p[i1].iter().zip(&p[i2]) {
+                s.add_clause(&[Lit::neg(x), Lit::neg(y)]);
+            }
+        }
+    }
+    let all: Vec<Var> = p.iter().flatten().copied().collect();
+    for _ in 0..2 {
+        assert_eq!(s.solve_with(&[Lit::pos(sel)]), SatResult::Unsat);
+        assert_eq!(s.solve_with(&[Lit::neg(sel)]), SatResult::Sat);
+        digest = fnv(digest, model(&s, &all));
+    }
+    total = add_stats(total, s.stats());
+    assert_eq!(
+        total,
+        EngineStats {
+            conflicts: 5_329,
+            learned: 5_326,
+            propagations: 76_084,
+            restarts: 31,
+            assumption_solves: 964,
+            learned_kept: 3_649,
+            learned_dropped: 3_647,
+        }
+    );
+    assert_eq!(digest, 0x4077_0504_d2dc_93c9, "verdicts and models");
 }
