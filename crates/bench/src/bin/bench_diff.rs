@@ -20,9 +20,9 @@
 //! so phases whose baseline is under `RELIABLE_MS` are reported but
 //! never gate — only phases long enough to average over scheduler noise
 //! can fail the build. Effectiveness fractions — any `*_improvement`
-//! leaf, like the cache's `warm_vs_cold_improvement` or the CEC bench's
-//! `incremental_improvement` — are machine-independent and compared
-//! absolutely: a drop of more than `threshold` (as a fraction) fails,
+//! leaf, like the cache's `warm_vs_cold_improvement` or the store
+//! bench's `flush_merge_improvement` — are machine-independent and
+//! compared absolutely: a drop of more than `threshold` (as a fraction) fails,
 //! and so does a baseline `*_improvement` leaf the candidate no longer
 //! writes — retiring a gate leaf takes a reviewed edit of the baseline.
 //!

@@ -1,8 +1,7 @@
 //! `cec_bench` — the CEC trajectory runner: times the verify stage's
 //! equivalence proof, its wrong-key corruptibility sweep, and the
 //! oracle-guided SAT attack, writing `BENCH_cec.json` so the
-//! `bench_diff` gate can hold the line on absolute solve times and on
-//! the incremental sweep's measured win.
+//! `bench_diff` gate can hold the line on absolute solve times.
 //!
 //! ```text
 //! cec_bench [--out BENCH_cec.json] [--samples K] [--smoke] [--all]
@@ -15,15 +14,10 @@
 //! * `benchmarks.<name>.attack_p1_ms` — SAT-attack time against the
 //!   flow's selected fabric contents (skipped for fabrics beyond the
 //!   attack budget class),
-//! * `benchmarks.<name>.sweep_fresh_ms` / `sweep_incremental_ms` —
-//!   verify stage with a 16-wrong-key corruptibility sweep on one
-//!   worker and a cold store, fresh pinned miter per key
-//!   (`incremental_cec: false`) vs one assumption-parameterized keyed
-//!   miter answering every key (`incremental_cec: true`),
-//! * `wrong_key_sweep` — the incremental headline: the slowest fresh
-//!   sweep re-stated with its incremental time and
-//!   `incremental_improvement = (fresh - incremental) / fresh`, which
-//!   `bench_diff` compares absolutely (target ≥ 30%).
+//! * `benchmarks.<name>.sweep_incremental_ms` — verify stage with a
+//!   16-wrong-key corruptibility sweep on one worker and a cold store:
+//!   one assumption-parameterized keyed miter proves the correct key
+//!   and answers every wrong key.
 //!
 //! `--all` adds IIR, whose redacted-multiplier miter takes minutes per
 //! sample — far past the CI smoke budget — so it stays out of the
@@ -140,10 +134,9 @@ fn main() -> ExitCode {
         max_dips: 12,
         conflicts_per_call: 8_000,
     };
-    /// Wrong keys in the incremental-vs-fresh sweep comparison.
+    /// Wrong keys in the timed corruptibility sweep.
     const SWEEP_KEYS: usize = 16;
     let mut rows: Vec<(String, Vec<(String, f64)>)> = Vec::new();
-    let mut sweep_hardest: Option<(String, f64, f64)> = None;
     for b in alice_benchmarks::suite() {
         if !(PICKS.contains(&b.name) || (all && SLOW_PICKS.contains(&b.name))) {
             continue;
@@ -167,32 +160,20 @@ fn main() -> ExitCode {
         eprintln!("cec_bench: {:<8} verify {:>9.1} ms", b.name, p1);
         let mut cells = vec![("verify_p1_ms".to_string(), p1)];
 
-        // Incremental wrong-key sweep vs the fresh-per-key baseline:
-        // 16 wrong keys on ONE worker and a cold private db per run, so
-        // the comparison is purely algorithmic — encode-once +
-        // assumption solves against build-and-solve per key. Excluded
-        // for the `--all` slow picks (minutes per key).
+        // The wrong-key sweep: 16 wrong keys on ONE worker and a cold
+        // private db per run. Excluded for the `--all` slow picks
+        // (minutes per key).
         if PICKS.contains(&b.name) {
-            let sweep_cfg = |incremental: bool| AliceConfig {
+            let sweep_cfg = AliceConfig {
                 verify_wrong_keys: SWEEP_KEYS,
-                incremental_cec: incremental,
                 ..cfg1.clone()
             };
-            let sf = time_verify(&sweep_cfg(false), &mut None);
-            let si = time_verify(&sweep_cfg(true), &mut None);
+            let sweep_ms = time_verify(&sweep_cfg, &mut None);
             eprintln!(
-                "cec_bench: {:<8} sweep({SWEEP_KEYS}) fresh {:>9.1} ms   incremental {:>9.1} ms \
-                 ({:.1}% faster)",
-                b.name,
-                sf,
-                si,
-                (sf - si) / sf * 100.0
+                "cec_bench: {:<8} sweep({SWEEP_KEYS}) {:>9.1} ms",
+                b.name, sweep_ms
             );
-            cells.push(("sweep_fresh_ms".to_string(), sf));
-            cells.push(("sweep_incremental_ms".to_string(), si));
-            if sweep_hardest.as_ref().is_none_or(|(_, h, _)| sf > *h) {
-                sweep_hardest = Some((b.name.to_string(), sf, si));
-            }
+            cells.push(("sweep_incremental_ms".to_string(), sweep_ms));
         }
 
         // Attack the selected fabric contents, exactly as `security` does.
@@ -239,14 +220,6 @@ fn main() -> ExitCode {
         rows.push((b.name.to_string(), cells));
     }
 
-    let (sd, sf, si) = sweep_hardest.expect("at least one gated pick swept");
-    let sweep_improvement = (sf - si) / sf;
-    eprintln!(
-        "cec_bench: hardest sweep {sd}: {sf:.1} ms -> {si:.1} ms \
-         (incremental improvement {:.1}%, target >= 30%)",
-        sweep_improvement * 100.0
-    );
-
     let mut json = String::new();
     writeln!(json, "{{").expect("string write");
     writeln!(json, "  \"schema\": \"alice-cec-bench-v1\",").expect("string write");
@@ -260,17 +233,6 @@ fn main() -> ExitCode {
         let comma = if bi + 1 < rows.len() { "," } else { "" };
         writeln!(json, "    \"{name}\": {{ {} }}{comma}", body.join(", ")).expect("string write");
     }
-    writeln!(json, "  }},").expect("string write");
-    writeln!(json, "  \"wrong_key_sweep\": {{").expect("string write");
-    writeln!(json, "    \"design\": \"{sd}\",").expect("string write");
-    writeln!(json, "    \"keys\": {SWEEP_KEYS},").expect("string write");
-    writeln!(json, "    \"fresh_ms\": {sf:.3},").expect("string write");
-    writeln!(json, "    \"incremental_ms\": {si:.3},").expect("string write");
-    writeln!(
-        json,
-        "    \"incremental_improvement\": {sweep_improvement:.4}"
-    )
-    .expect("string write");
     writeln!(json, "  }}").expect("string write");
     writeln!(json, "}}").expect("string write");
     match std::fs::write(&out_path, &json) {

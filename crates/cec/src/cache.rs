@@ -21,11 +21,6 @@
 //!   dependent) are recomputed.
 //! * **Complete corruption counts** — the exact wrong-key corruptibility
 //!   numbers; incomplete (budget-cut) analyses are recomputed.
-//! * **Sweep lemmas** — per-pair internal equivalences the SAT sweeper
-//!   proved, keyed by the canonical pair of boundary-labelled cone
-//!   hashes (see `crate::sweep`). Unlike whole-miter proofs these
-//!   transfer to *novel* miters that reuse familiar sub-structures —
-//!   e.g. the same netlist pair under different pinned key bits.
 
 use alice_intern::StableHasher;
 use alice_store::{Kind, Reader, Store, Writer};
@@ -53,7 +48,6 @@ pub struct CachedCorruption {
 
 const TAG_PROOF: u8 = 1;
 const TAG_CORRUPTION: u8 = 2;
-const TAG_LEMMA: u8 = 3;
 
 /// Folds the miter fingerprint into a store key, segregated per entry
 /// type so an equivalence proof and a corruption analysis of the same
@@ -114,26 +108,6 @@ pub fn record_corruption(store: &Store, fp: (u64, u64), c: CachedCorruption) {
     w.put_u64(c.corrupted);
     w.put_u64(c.total);
     store.put(Kind::Cec, store_key("corruption", fp), w.into_bytes());
-}
-
-/// True when a sweep lemma is persisted for the canonical cone-pair key
-/// (see `crate::sweep::lemma_key`): the two cones were once proven
-/// equal, so a sweeper seeing the same pair may assert the equality
-/// without re-proving it.
-pub fn lookup_lemma(store: &Store, pair: (u64, u64)) -> bool {
-    let Some(bytes) = store.get(Kind::Lemma, store_key("lemma", pair)) else {
-        return false;
-    };
-    let mut r = Reader::new(&bytes);
-    r.get_u8().ok() == Some(TAG_LEMMA)
-}
-
-/// Records a proven sweep lemma. The write is committed on the store's
-/// next flush.
-pub fn record_lemma(store: &Store, pair: (u64, u64)) {
-    let mut w = Writer::new();
-    w.put_u8(TAG_LEMMA);
-    store.put(Kind::Lemma, store_key("lemma", pair), w.into_bytes());
 }
 
 #[cfg(test)]
@@ -199,21 +173,6 @@ mod tests {
             })
         );
         assert!(lookup_proof(&store, fp).is_some(), "proof still there");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lemma_round_trips_and_survives_reopen() {
-        let (dir, store) = tmp_store("lemma");
-        let pair = (0xABCD, 0xEF01);
-        assert!(!lookup_lemma(&store, pair));
-        record_lemma(&store, pair);
-        assert!(lookup_lemma(&store, pair));
-        drop(store);
-        // A second process sees the lemma from its own handle.
-        let store = Store::open(&dir).expect("reopen");
-        assert!(lookup_lemma(&store, pair));
-        assert!(!lookup_lemma(&store, (0xABCD, 0xEF02)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,18 +16,15 @@
 //!   free), [`CecResult`] verdicts with [`Counterexample`] witnesses, the
 //!   exact per-output [`Corruption`] analysis behind the wrong-key
 //!   corruptibility sweep, and the assumption-parameterized
-//!   [`KeyedMiter`] that answers many keys on one long-lived solver,
+//!   [`KeyedMiter`] that poses the same proof and corruption queries for
+//!   many keys on one long-lived solver,
 //! * [`sweep`] — ABC-style SAT sweeping (signature classes from 128-bit
 //!   word simulation, per-pair assumption proofs, equality lemmas) that
-//!   makes redacted-arithmetic miters tractable; proven lemmas are keyed
-//!   by boundary-labelled cone hashes and persisted, so familiar
-//!   sub-structures start warm in later processes,
+//!   makes redacted-arithmetic miters tractable,
 //! * [`cache`] — the persistent proof cache over `alice-store`: whole
-//!   miters keyed by [`miter_fingerprint`] (name-free pair structure +
-//!   pinned key bits) so identical queries skip re-proving, plus the
-//!   per-pair sweep lemmas — which also serve *novel* miters (e.g. the
-//!   same pair under different pinned key bits) that the whole-miter
-//!   fingerprint misses.
+//!   proofs and complete corruption counts keyed by
+//!   [`miter_fingerprint`] (name-free pair structure + pinned key bits),
+//!   so identical queries skip re-proving.
 //!
 //! # Example
 //!

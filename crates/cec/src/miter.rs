@@ -15,14 +15,12 @@
 //! counterexample).
 
 use crate::encode::{model_value, Encoder};
-use crate::sweep::{const_sig, random_sig, sweep, ConeHash, Sig, SweepSide, SweepStats};
+use crate::sweep::{const_sig, random_sig, sweep, Sig, SweepSide, SweepStats};
 use alice_attacks::solver::{EngineStats, Lit, SatResult, Solver};
 use alice_intern::{StableHasher, Symbol};
 use alice_netlist::ir::{Netlist, NodeId};
-use alice_store::Store;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a miter could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,13 +121,14 @@ impl Corruption {
     }
 }
 
-/// Build-time options for [`Miter::build`].
-#[derive(Debug, Clone)]
+/// Build-time options for [`Miter::build`] and [`KeyedMiter::build`].
+///
+/// Revised-only outputs whose names start with `cfg_` (on any hierarchy
+/// segment) are key material, not a [`MiterError::ExtraOutput`], and the
+/// next-state functions of paired flip-flops are always compared (the
+/// scan model).
+#[derive(Debug, Clone, Default)]
 pub struct MiterOptions {
-    /// Ports/registers present only in the revised netlist whose names
-    /// start with one of these prefixes (on any hierarchy segment) are
-    /// treated as key material instead of errors. Default: `["cfg_"]`.
-    pub key_prefixes: Vec<String>,
     /// Renames applied to revised-netlist register names before pairing
     /// (`revised name` → `golden name`); this is how redaction maps each
     /// fabric FF back onto the register it replaced.
@@ -138,36 +137,15 @@ pub struct MiterOptions {
     pub pin_inputs: Vec<(Symbol, Vec<bool>)>,
     /// Revised-netlist registers pinned to constants — the bitstream.
     pub pin_state: Vec<(Symbol, bool)>,
-    /// Compare next-state functions of paired flip-flops (the scan
-    /// model). Disable only for purely combinational netlists.
-    pub check_next_state: bool,
     /// Solver conflict budget per proof query; `None` = unlimited. The
     /// SAT sweep that runs at build time uses its own fixed per-pair
     /// budget.
     pub conflict_budget: Option<u64>,
-    /// Persistent store consulted for — and extended with — per-pair
-    /// sweep lemmas (`alice_store::Kind::Lemma`): internal equivalences
-    /// proven by any past sweep, keyed by boundary-labelled cone hashes
-    /// so they transfer to novel miters over familiar sub-structures.
-    /// A lemma only short-circuits a proof the sweep would have
-    /// completed anyway, so — like the budget — this steers wall-clock,
-    /// never verdicts, and is excluded from [`miter_fingerprint`].
-    pub lemma_store: Option<Arc<Store>>,
 }
 
-impl Default for MiterOptions {
-    fn default() -> Self {
-        MiterOptions {
-            key_prefixes: vec!["cfg_".to_string()],
-            state_rename: HashMap::new(),
-            pin_inputs: Vec::new(),
-            pin_state: Vec::new(),
-            check_next_state: true,
-            conflict_budget: None,
-            lemma_store: None,
-        }
-    }
-}
+/// The name prefix of key material: eFPGA configuration ports and
+/// configuration-chain registers.
+const KEY_PREFIX: &str = "cfg_";
 
 /// A deterministic, *name-free* 128-bit fingerprint of the equivalence
 /// query `(a, b, opts)` — the key of the persistent CEC proof cache.
@@ -178,13 +156,10 @@ impl Default for MiterOptions {
 /// plus the *resolved* boundary binding expressed in ordinals — which
 /// golden input/output port pairs with which revised position, which
 /// revised register is pinned to what value, which pairs with which
-/// golden register (after [`MiterOptions::state_rename`]), whether
-/// next-state functions are compared, and the key-prefix set (it
-/// decides whether revised-only boundary material is tolerated as key
-/// or a build error). The solver budget and the
-/// [`MiterOptions::lemma_store`] handle are deliberately excluded: they
-/// affect how long a proof takes, never what verdict is sound, so a
-/// cached `Equivalent` stays valid across them.
+/// golden register (after [`MiterOptions::state_rename`]). The solver
+/// budget is deliberately excluded: it affects how long a proof takes,
+/// never what verdict is sound, so a cached `Equivalent` stays valid
+/// across budgets.
 ///
 /// Infallible by design — a pair the miter would reject still
 /// fingerprints fine (the mismatch is hashed as an unpaired marker);
@@ -270,27 +245,15 @@ pub fn miter_fingerprint(a: &Netlist, b: &Netlist, opts: &MiterOptions) -> (u64,
         }
     }
     h.write_u64(a.dff_records().len() as u64);
-    h.write_u32(opts.check_next_state as u32);
-    // Key prefixes decide whether a revised-only non-key output is an
-    // error or tolerated, so they are part of the query's meaning
-    // (hashed as a sorted set — matching is any-of, order-free).
-    let mut prefixes: Vec<&str> = opts.key_prefixes.iter().map(String::as_str).collect();
-    prefixes.sort_unstable();
-    h.write_u64(prefixes.len() as u64);
-    for p in prefixes {
-        h.write_str(p);
-    }
     h.finish()
 }
 
-fn is_key_name(name: Symbol, prefixes: &[String]) -> bool {
-    // A key name matches a prefix on its last hierarchical segment (the
+fn is_key_name(name: Symbol) -> bool {
+    // A key name matches the prefix on its last hierarchical segment (the
     // register or port's own name) or on the whole path.
     let name = name.as_str();
     let last = name.rsplit('.').next().unwrap_or(name);
-    prefixes
-        .iter()
-        .any(|p| name.starts_with(p) || last.starts_with(p))
+    name.starts_with(KEY_PREFIX) || last.starts_with(KEY_PREFIX)
 }
 
 /// Registers of `n` whose Q is in the combinational support of a
@@ -332,23 +295,11 @@ fn observed_registers(n: &Netlist, next_roots: &BTreeSet<Symbol>) -> BTreeSet<Sy
     observed
 }
 
-/// Hashes a boundary leaf's *role* in the miter — shared-input ordinal,
-/// pinned constant value, free-key ordinal, golden-state ordinal — into
-/// the 128-bit label the sweeper's cone hashes are built over. Two
-/// leaves get the same label exactly when every miter binds them the
-/// same way (same shared variable, same constant, same free key slot),
-/// which is what makes persisted sweep lemmas transferable across
-/// miters: a lemma proven under one set of pinned key bits still names
-/// the same boundary functions in any miter that reproduces the labels.
-fn boundary_label(role: &str, ord: u64, bit: u64) -> ConeHash {
-    let mut h = StableHasher::new();
-    h.write_str(role);
-    h.write_u64(ord);
-    h.write_u64(bit);
-    h.finish()
-}
-
-/// The composed miter, ready to solve.
+/// The composed miter, ready to solve: the one body behind both the
+/// pinned path ([`Miter`]'s own queries, with no assumptions) and the
+/// keyed path ([`KeyedMiter`], which poses the same queries under a key's
+/// assumptions).
+#[derive(Clone)]
 pub struct Miter {
     solver: Solver,
     shared_inputs: Vec<(Symbol, Vec<Lit>)>,
@@ -363,39 +314,21 @@ pub struct Miter {
     budget: Option<u64>,
 }
 
-/// The miter body shared by [`Miter`] and [`KeyedMiter`]: boundary
-/// literals, difference points, and the sweep outcome, with the solver
-/// owned by the caller.
-struct MiterCore {
-    shared_inputs: Vec<(Symbol, Vec<Lit>)>,
-    shared_state: Vec<(Symbol, Lit)>,
-    key_inputs: Vec<(Symbol, Vec<Lit>)>,
-    key_state: Vec<(Symbol, Lit)>,
-    /// Keyed mode only: the `pin_state` registers left free, in revised
-    /// `dff_records` order, each with its assumption-slot literal.
-    key_slots: Vec<(Symbol, Lit)>,
-    diffs: Vec<(String, Lit)>,
-    tru: Lit,
-    sweep_stats: SweepStats,
-}
-
-/// Encodes the miter of `a` against `b` into `s`.
+/// Encodes the miter of `a` against `b` on a fresh solver.
 ///
-/// `keyed = false` is the classic path: [`MiterOptions::pin_state`]
+/// `keyed = false` is the pinned path: [`MiterOptions::pin_state`]
 /// registers fold to constants at encode time. `keyed = true` leaves
-/// them as *free* variables instead, recording one assumption slot per
-/// register, so the caller can pose per-key queries as assumption sets
-/// over one long-lived solver. Free key slots label their sweep cones
-/// exactly like ordinary free key state (`keystate` by revised ordinal):
-/// a lemma proven with the key free holds for every key, so it is sound
-/// wherever a free-key lemma is.
+/// them as *free* variables instead and also returns one assumption
+/// slot per register, in revised `dff_records` order, so the caller can
+/// pose per-key queries as assumption sets over one long-lived solver.
 fn assemble(
-    s: &mut Solver,
     a: &Netlist,
     b: &Netlist,
     opts: &MiterOptions,
     keyed: bool,
-) -> Result<MiterCore, MiterError> {
+) -> Result<(Miter, Vec<(Symbol, Lit)>), MiterError> {
+    let mut solver = Solver::new();
+    let s = &mut solver;
     let mut enc = Encoder::new(s);
     // Deterministic signature words for the sweeping pass, built in
     // lockstep with the literal bindings: shared literal ⇒ shared
@@ -403,13 +336,6 @@ fn assemble(
     let mut rng: u64 = 0x5EED_A11C_E000_0001 ^ (a.len() as u64) << 1 ^ b.len() as u64;
     let mut wbind_a: HashMap<Symbol, Vec<Sig>> = HashMap::new();
     let mut wbind_b: HashMap<Symbol, Vec<Sig>> = HashMap::new();
-    // Boundary labels for the persisted-lemma cone hashes, also in
-    // lockstep: shared inputs label by golden ordinal, pins by their
-    // constant value, free key inputs/state by revised ordinal.
-    let mut labels_a: HashMap<Symbol, Vec<ConeHash>> = HashMap::new();
-    let mut labels_b: HashMap<Symbol, Vec<ConeHash>> = HashMap::new();
-    let mut slabels_a: HashMap<Symbol, ConeHash> = HashMap::new();
-    let mut slabels_b: HashMap<Symbol, ConeHash> = HashMap::new();
 
     // --- Shared inputs: allocate once, bind into both encodes. ---
     let b_in_widths: HashMap<Symbol, usize> =
@@ -417,7 +343,7 @@ fn assemble(
     let mut bind_a: HashMap<Symbol, Vec<Lit>> = HashMap::new();
     let mut bind_b: HashMap<Symbol, Vec<Lit>> = HashMap::new();
     let mut shared_inputs = Vec::new();
-    for (pi, (name, bits)) in a.inputs.iter().enumerate() {
+    for (name, bits) in &a.inputs {
         match b_in_widths.get(name) {
             None => return Err(MiterError::MissingInput(name.to_string())),
             Some(&w) if w != bits.len() => return Err(MiterError::WidthMismatch(name.to_string())),
@@ -429,11 +355,6 @@ fn assemble(
         bind_b.insert(*name, lits.clone());
         wbind_a.insert(*name, words.clone());
         wbind_b.insert(*name, words);
-        let labels: Vec<ConeHash> = (0..bits.len())
-            .map(|j| boundary_label("in", pi as u64, j as u64))
-            .collect();
-        labels_a.insert(*name, labels.clone());
-        labels_b.insert(*name, labels);
         shared_inputs.push((*name, lits));
     }
 
@@ -451,20 +372,11 @@ fn assemble(
             .collect();
         bind_b.insert(*name, consts);
         wbind_b.insert(*name, vals.iter().map(|&v| const_sig(v)).collect());
-        // A pinned bit is the constant function of its value: the
-        // value alone identifies it, so lemmas over cones that read
-        // it survive any renaming — but not a changed pin value.
-        labels_b.insert(
-            *name,
-            vals.iter()
-                .map(|&v| boundary_label("pin", v as u64, 0))
-                .collect(),
-        );
     }
 
     // --- Remaining revised-only inputs are free key inputs. ---
     let mut key_inputs = Vec::new();
-    for (bi, (name, bits)) in b.inputs.iter().enumerate() {
+    for (name, bits) in &b.inputs {
         if bind_b.contains_key(name) {
             continue;
         }
@@ -474,12 +386,6 @@ fn assemble(
         let lits: Vec<Lit> = bits.iter().map(|_| enc.fresh(s)).collect();
         bind_b.insert(*name, lits.clone());
         wbind_b.insert(*name, bits.iter().map(|_| random_sig(&mut rng)).collect());
-        labels_b.insert(
-            *name,
-            (0..bits.len())
-                .map(|j| boundary_label("key", bi as u64, j as u64))
-                .collect(),
-        );
         key_inputs.push((*name, lits));
     }
 
@@ -487,11 +393,10 @@ fn assemble(
     let mut state_a: HashMap<Symbol, Lit> = HashMap::new();
     let mut wstate_a: HashMap<Symbol, Sig> = HashMap::new();
     let mut shared_state = Vec::new();
-    for (gi, (_, name, _, _)) in a.dff_records().into_iter().enumerate() {
+    for (_, name, _, _) in a.dff_records() {
         let q = enc.fresh(s);
         state_a.insert(name, q);
         wstate_a.insert(name, random_sig(&mut rng));
-        slabels_a.insert(name, boundary_label("state", gi as u64, 0));
         shared_state.push((name, q));
     }
 
@@ -509,38 +414,32 @@ fn assemble(
     let mut key_state = Vec::new();
     let mut key_slots: Vec<(Symbol, Lit)> = Vec::new();
     let mut paired: Vec<(Symbol, Symbol)> = Vec::new(); // (golden, revised)
-    for (bi, &(_, name, _, _)) in b_records.iter().enumerate() {
+    for &(_, name, _, _) in &b_records {
         let golden = opts.state_rename.get(&name).copied().unwrap_or(name);
         if let Some(&v) = pin_state.get(&name) {
             if keyed {
-                // Assumption slot: the register stays a free
-                // variable (the pinned *value* is ignored here — the
-                // caller supplies it per query), labelled like any
-                // other free key state so sweep lemmas stay sound
-                // for every key.
+                // Assumption slot: the register stays a free variable
+                // (the pinned *value* is ignored here — the caller
+                // supplies it per query).
                 let q = enc.fresh(s);
                 state_b.insert(name, q);
                 wstate_b.insert(name, random_sig(&mut rng));
-                slabels_b.insert(name, boundary_label("keystate", bi as u64, 0));
                 key_state.push((name, q));
                 key_slots.push((name, q));
             } else {
                 let l = if v { enc.tru() } else { enc.fls() };
                 state_b.insert(name, l);
                 wstate_b.insert(name, const_sig(v));
-                slabels_b.insert(name, boundary_label("pin", v as u64, 0));
                 key_state.push((name, l));
             }
         } else if let Some(&q) = state_a.get(&golden) {
             state_b.insert(name, q);
             wstate_b.insert(name, wstate_a[&golden]);
-            slabels_b.insert(name, slabels_a[&golden]);
             paired.push((golden, name));
         } else {
             let q = enc.fresh(s);
             state_b.insert(name, q);
             wstate_b.insert(name, random_sig(&mut rng));
-            slabels_b.insert(name, boundary_label("keystate", bi as u64, 0));
             key_state.push((name, q));
         }
     }
@@ -579,8 +478,6 @@ fn assemble(
             state_lits: &state_a,
             input_base: &wbind_a,
             state_base: &wstate_a,
-            input_labels: &labels_a,
-            state_labels: &slabels_a,
             node_lits: &enc_a.node_lits,
         },
         &SweepSide {
@@ -589,11 +486,8 @@ fn assemble(
             state_lits: &state_b,
             input_base: &wbind_b,
             state_base: &wstate_b,
-            input_labels: &labels_b,
-            state_labels: &slabels_b,
             node_lits: &enc_b.node_lits,
         },
-        opts.lemma_store.as_deref(),
     );
 
     // --- Difference points: outputs... ---
@@ -613,68 +507,32 @@ fn assemble(
     }
     let a_out_names: BTreeSet<Symbol> = enc_a.outputs.iter().map(|(n, _)| *n).collect();
     for &(name, _) in &enc_b.outputs {
-        if !a_out_names.contains(&name) && !is_key_name(name, &opts.key_prefixes) {
+        if !a_out_names.contains(&name) && !is_key_name(name) {
             return Err(MiterError::ExtraOutput(name.to_string()));
         }
     }
 
     // --- ... and next-state functions of paired registers. ---
-    if opts.check_next_state {
-        let next_a: HashMap<Symbol, Lit> = enc_a.dffs.iter().map(|d| (d.name, d.next)).collect();
-        let next_b: HashMap<Symbol, Lit> = enc_b.dffs.iter().map(|d| (d.name, d.next)).collect();
-        for &(golden, revised) in &paired {
-            let (na, nb) = (next_a[&golden], next_b[&revised]);
-            let d = enc.xor(s, na, nb);
-            diffs.push((format!("next({golden})"), d));
-        }
+    let next_a: HashMap<Symbol, Lit> = enc_a.dffs.iter().map(|d| (d.name, d.next)).collect();
+    let next_b: HashMap<Symbol, Lit> = enc_b.dffs.iter().map(|d| (d.name, d.next)).collect();
+    for &(golden, revised) in &paired {
+        let (na, nb) = (next_a[&golden], next_b[&revised]);
+        let d = enc.xor(s, na, nb);
+        diffs.push((format!("next({golden})"), d));
     }
 
-    Ok(MiterCore {
+    let miter = Miter {
+        tru: enc.tru(),
+        solver,
         shared_inputs,
         shared_state,
         key_inputs,
         key_state,
-        key_slots,
         diffs,
-        tru: enc.tru(),
         sweep_stats,
-    })
-}
-
-/// Reads a [`Counterexample`] out of the solver's current model.
-fn extract_model_cex(
-    s: &Solver,
-    shared_inputs: &[(Symbol, Vec<Lit>)],
-    shared_state: &[(Symbol, Lit)],
-    key_inputs: &[(Symbol, Vec<Lit>)],
-    key_state: &[(Symbol, Lit)],
-    diffs_true: Vec<String>,
-) -> Box<Counterexample> {
-    let port = |ports: &[(Symbol, Vec<Lit>)]| -> Vec<(Symbol, Vec<bool>)> {
-        ports
-            .iter()
-            .map(|(n, lits)| (*n, lits.iter().map(|&l| model_value(s, l)).collect()))
-            .collect()
+        budget: opts.conflict_budget,
     };
-    let bits = |regs: &[(Symbol, Lit)]| -> Vec<(Symbol, bool)> {
-        regs.iter().map(|(n, l)| (*n, model_value(s, *l))).collect()
-    };
-    Box::new(Counterexample {
-        inputs: port(shared_inputs),
-        state: bits(shared_state),
-        key_inputs: port(key_inputs),
-        key_state: bits(key_state),
-        diffs: diffs_true,
-    })
-}
-
-/// Difference points that are true under the solver's current model.
-fn model_diff_names_of(s: &Solver, diffs: &[(String, Lit)]) -> Vec<String> {
-    diffs
-        .iter()
-        .filter(|&&(_, d)| model_value(s, d))
-        .map(|(n, _)| n.clone())
-        .collect()
+    Ok((miter, key_slots))
 }
 
 impl Miter {
@@ -686,19 +544,7 @@ impl Miter {
     /// paired (see the variants for the exact conditions).
     pub fn build(a: &Netlist, b: &Netlist, opts: &MiterOptions) -> Result<Miter, MiterError> {
         let _span = alice_obs::span("cec.build");
-        let mut solver = Solver::new();
-        let core = assemble(&mut solver, a, b, opts, false)?;
-        Ok(Miter {
-            solver,
-            shared_inputs: core.shared_inputs,
-            shared_state: core.shared_state,
-            key_inputs: core.key_inputs,
-            key_state: core.key_state,
-            diffs: core.diffs,
-            tru: core.tru,
-            sweep_stats: core.sweep_stats,
-            budget: opts.conflict_budget,
-        })
+        Ok(assemble(a, b, opts, false)?.0)
     }
 
     /// Number of compared difference points (output bits + paired
@@ -710,17 +556,6 @@ impl Miter {
     /// CNF statistics: `(variables, clauses)` of the composed miter.
     pub fn cnf_size(&self) -> (usize, usize) {
         (self.solver.num_vars(), self.solver.num_clauses())
-    }
-
-    fn extract_cex(&self, diffs_true: Vec<String>) -> Box<Counterexample> {
-        extract_model_cex(
-            &self.solver,
-            &self.shared_inputs,
-            &self.shared_state,
-            &self.key_inputs,
-            &self.key_state,
-            diffs_true,
-        )
     }
 
     /// Statistics of the SAT-sweeping pass that ran at build time.
@@ -737,37 +572,67 @@ impl Miter {
     /// [`Miter::prove`], also reporting the solver's total search
     /// effort (sweeping plus the proof itself).
     pub fn prove_with_stats(mut self) -> (CecResult, EngineStats) {
-        let r = self.prove_inner();
+        let r = self.prove_under(Vec::new());
         (r, self.solver.stats())
     }
 
-    fn prove_inner(&mut self) -> CecResult {
+    /// Computes the exact set of corruptible difference points under the
+    /// current constraints (each marked point disagrees for some input;
+    /// when `complete`, every unmarked point is proven to always agree).
+    ///
+    /// Every SAT model marks *all* points that differ under it, so the
+    /// number of solver calls is bounded by the number of corruptible
+    /// points plus the number of clean points.
+    pub fn corruption(self) -> Corruption {
+        self.corruption_with_stats().0
+    }
+
+    /// `corruption`, also reporting the solver's total search effort
+    /// (sweeping plus the analysis itself).
+    fn corruption_with_stats(mut self) -> (Corruption, EngineStats) {
+        let c = self.corruption_under(Vec::new());
+        (c, self.solver.stats())
+    }
+
+    /// The one proof loop: a query per difference point under
+    /// `assumptions` (empty on the pinned path, the key's literals on
+    /// the keyed one) plus that point.
+    fn prove_under(&mut self, mut assumptions: Vec<Lit>) -> CecResult {
         let _span = alice_obs::span("cec.prove");
-        self.solver.conflict_budget = self.budget;
+        let budget = self.budget;
+        self.solver.conflict_budget = budget;
         let mut limited = false;
         for i in 0..self.diffs.len() {
             let d = self.diffs[i].1;
-            if self.is_const_false(d) {
+            if d == self.tru.negate() {
                 continue; // folded to the same literal — trivially equal
             }
-            if d == self.tru {
-                // Folded to provably different — the verdict needs no
-                // search. Solve without a budget for a witness model
-                // (circuit-consistency CNF alone is always satisfiable);
-                // if that somehow fails, still report the folded points.
+            let r = if d == self.tru {
+                // Folded to provably different for *every* key: solve
+                // only for a witness consistent with the assumptions (the
+                // circuit CNF plus a consistent key assignment is always
+                // satisfiable), without a budget.
                 self.solver.conflict_budget = None;
-                let names = if self.solver.solve() == SatResult::Sat {
-                    self.model_diff_names()
-                } else {
-                    self.diffs
+                let r = self.solver.solve_with(&assumptions);
+                self.solver.conflict_budget = budget;
+                if r != SatResult::Sat {
+                    // No witness after all: still report folded points.
+                    let names = self
+                        .diffs
                         .iter()
                         .filter(|&&(_, p)| p == self.tru)
                         .map(|(n, _)| n.clone())
-                        .collect()
-                };
-                return CecResult::NotEquivalent(self.extract_cex(names));
-            }
-            match self.solver.solve_with(&[d]) {
+                        .collect();
+                    return CecResult::NotEquivalent(self.extract_cex(names));
+                }
+                r
+            } else {
+                assumptions.push(d);
+                let r = self.solver.solve_with(&assumptions);
+                assumptions.pop();
+                r
+            };
+            match r {
                 SatResult::Unsat => {}
                 SatResult::Unknown => limited = true,
                 SatResult::Sat => {
@@ -783,253 +648,10 @@ impl Miter {
         }
     }
 
-    /// Computes the exact set of corruptible difference points under the
-    /// current constraints (each marked point disagrees for some input;
-    /// when `complete`, every unmarked point is proven to always agree).
-    ///
-    /// Every SAT model marks *all* points that differ under it, so the
-    /// number of solver calls is bounded by the number of corruptible
-    /// points plus the number of clean points.
-    pub fn corruption(mut self) -> Corruption {
-        let _span = alice_obs::span("cec.corruption");
-        self.solver.conflict_budget = self.budget;
-        let total = self.diffs.len();
-        let mut corrupted: BTreeSet<String> = BTreeSet::new();
-        let mut complete = true;
-        for i in 0..self.diffs.len() {
-            let (name, d) = self.diffs[i].clone();
-            if corrupted.contains(&name) || self.is_const_false(d) {
-                continue;
-            }
-            if d == self.tru {
-                corrupted.insert(name);
-                continue;
-            }
-            match self.solver.solve_with(&[d]) {
-                SatResult::Unsat => {}
-                SatResult::Unknown => complete = false,
-                SatResult::Sat => {
-                    for n in self.model_diff_names() {
-                        corrupted.insert(n);
-                    }
-                }
-            }
-        }
-        Corruption {
-            corrupted,
-            total,
-            complete,
-        }
-    }
-
-    fn is_const_false(&self, d: Lit) -> bool {
-        d == self.tru.negate()
-    }
-
-    fn model_diff_names(&self) -> Vec<String> {
-        model_diff_names_of(&self.solver, &self.diffs)
-    }
-}
-
-/// An assumption-parameterized key miter: the golden/revised pair
-/// encoded **once** with the bitstream registers left as *free*
-/// variables, so the correct-key equivalence proof and every wrong-key
-/// corruption analysis become [`Solver::solve_with`] calls on one
-/// long-lived solver. Learned clauses, sweep-derived equalities,
-/// variable activities, and saved phases all transfer across keys —
-/// the per-key cost is one assumption solve instead of a fresh Tseitin
-/// encode plus a cold CDCL search.
-///
-/// The registers named by [`MiterOptions::pin_state`] define the
-/// assumption *slots* (their pinned values are ignored at build time);
-/// every query supplies concrete values for some or all slots via
-/// [`KeyedMiter::prove`] / [`KeyedMiter::corruption`]. Slots a query
-/// leaves unnamed stay free, so the verdict then covers every value of
-/// the unnamed bits — the attacker's view, exactly as in a keyless
-/// [`Miter`].
-///
-/// # Equivalence with the pinned-constant path
-///
-/// For any complete key, `prove`/`corruption` return *bit-identical*
-/// verdicts and corruption sets to a fresh [`Miter`] built with the
-/// same bits in [`MiterOptions::pin_state`]: both paths compute exact
-/// answers to the same logical query, and assumptions constrain the
-/// free key bits to precisely the pinned constants. What changes is
-/// only wall-clock — the keyed CNF keeps the configuration mux trees
-/// the pinned encode would have constant-folded, and in exchange
-/// amortizes encode and search effort across all N keys of a sweep.
-///
-/// A clone copies the whole solver state (learned clauses, activities,
-/// saved phases), so one built and warmed miter can serve several
-/// threads without encoding or sweeping the pair again.
-#[derive(Clone)]
-pub struct KeyedMiter {
-    solver: Solver,
-    shared_inputs: Vec<(Symbol, Vec<Lit>)>,
-    shared_state: Vec<(Symbol, Lit)>,
-    key_inputs: Vec<(Symbol, Vec<Lit>)>,
-    key_state: Vec<(Symbol, Lit)>,
-    key_slots: Vec<(Symbol, Lit)>,
-    slot_of: HashMap<Symbol, Lit>,
-    diffs: Vec<(String, Lit)>,
-    tru: Lit,
-    sweep_stats: SweepStats,
-    budget: Option<u64>,
-}
-
-impl KeyedMiter {
-    /// Builds the keyed miter of golden `a` against revised `b`.
-    ///
-    /// The fourth argument is unused. It is kept only so that existing
-    /// callers still compile, and will be removed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiterError`] when the two netlists' boundaries cannot
-    /// be paired (the same conditions as [`Miter::build`]).
-    pub fn build(
-        a: &Netlist,
-        b: &Netlist,
-        opts: &MiterOptions,
-        _unused: usize,
-    ) -> Result<KeyedMiter, MiterError> {
-        let _span = alice_obs::span("cec.keyed_build");
-        let mut solver = Solver::new();
-        let core = assemble(&mut solver, a, b, opts, true)?;
-        let slot_of = core.key_slots.iter().copied().collect();
-        Ok(KeyedMiter {
-            solver,
-            shared_inputs: core.shared_inputs,
-            shared_state: core.shared_state,
-            key_inputs: core.key_inputs,
-            key_state: core.key_state,
-            key_slots: core.key_slots,
-            slot_of,
-            diffs: core.diffs,
-            tru: core.tru,
-            sweep_stats: core.sweep_stats,
-            budget: opts.conflict_budget,
-        })
-    }
-
-    /// The assumption slots, in revised `dff_records` order: one
-    /// `(register, free literal)` per [`MiterOptions::pin_state`] entry.
-    pub fn key_slots(&self) -> &[(Symbol, Lit)] {
-        &self.key_slots
-    }
-
-    /// Number of compared difference points (output bits + paired
-    /// next-state functions).
-    pub fn diff_points(&self) -> usize {
-        self.diffs.len()
-    }
-
-    /// CNF statistics: `(variables, clauses)` of the keyed miter.
-    pub fn cnf_size(&self) -> (usize, usize) {
-        (self.solver.num_vars(), self.solver.num_clauses())
-    }
-
-    /// Statistics of the SAT-sweeping pass that ran at build time.
-    pub fn sweep_stats(&self) -> SweepStats {
-        self.sweep_stats
-    }
-
-    /// Cumulative solver search effort across every query so far.
-    pub fn stats(&self) -> EngineStats {
-        self.solver.stats()
-    }
-
-    /// Lowers a key to its assumption set: one literal per named slot,
-    /// positive for `true` bits.
-    ///
-    /// # Errors
-    ///
-    /// [`MiterError::UnknownPin`] when `key` names a register that is
-    /// not an assumption slot.
-    pub fn assumptions(&self, key: &[(Symbol, bool)]) -> Result<Vec<Lit>, MiterError> {
-        key.iter()
-            .map(|&(name, v)| match self.slot_of.get(&name) {
-                Some(&l) => Ok(if v { l } else { l.negate() }),
-                None => Err(MiterError::UnknownPin(name.to_string())),
-            })
-            .collect()
-    }
-
-    /// Proves equivalence under `key`, one assumption query per
-    /// difference point — the incremental counterpart of
-    /// [`Miter::prove`]. The solver is reset to the root afterwards, so
-    /// the next key starts from a coherent level-0 state.
-    ///
-    /// # Errors
-    ///
-    /// [`MiterError::UnknownPin`] when `key` names an unknown register.
-    pub fn prove(&mut self, key: &[(Symbol, bool)]) -> Result<CecResult, MiterError> {
-        let mut assumptions = self.assumptions(key)?;
-        let _span = alice_obs::span("cec.prove");
-        let budget = self.budget;
-        self.solver.conflict_budget = budget;
-        let mut verdict = None;
-        let mut limited = false;
-        for i in 0..self.diffs.len() {
-            let d = self.diffs[i].1;
-            if d == self.tru.negate() {
-                continue; // folded to the same literal — trivially equal
-            }
-            let r = if d == self.tru {
-                // Folded to provably different for *every* key: solve
-                // only for a witness consistent with this key (the
-                // circuit CNF plus a consistent key assignment is
-                // always satisfiable), without a budget.
-                self.solver.conflict_budget = None;
-                let r = self.solver.solve_with(&assumptions);
-                self.solver.conflict_budget = budget;
-                if r != SatResult::Sat {
-                    // No witness after all: still report folded points.
-                    let names = self
-                        .diffs
-                        .iter()
-                        .filter(|&&(_, p)| p == self.tru)
-                        .map(|(n, _)| n.clone())
-                        .collect();
-                    verdict = Some(CecResult::NotEquivalent(self.extract_cex(names)));
-                    break;
-                }
-                SatResult::Sat
-            } else {
-                assumptions.push(d);
-                let r = self.solver.solve_with(&assumptions);
-                assumptions.pop();
-                r
-            };
-            match r {
-                SatResult::Unsat => {}
-                SatResult::Unknown => limited = true,
-                SatResult::Sat => {
-                    let names = self.model_diff_names();
-                    verdict = Some(CecResult::NotEquivalent(self.extract_cex(names)));
-                    break;
-                }
-            }
-        }
-        self.solver.reset_to_root();
-        Ok(verdict.unwrap_or(if limited {
-            CecResult::ResourceLimit
-        } else {
-            CecResult::Equivalent
-        }))
-    }
-
-    /// Computes the exact corruptible-point set under `key` — the
-    /// incremental counterpart of [`Miter::corruption`], with identical
-    /// semantics (every SAT model marks all points differing under it;
-    /// `complete` is false only on budget exhaustion). The solver is
-    /// reset to the root afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`MiterError::UnknownPin`] when `key` names an unknown register.
-    pub fn corruption(&mut self, key: &[(Symbol, bool)]) -> Result<Corruption, MiterError> {
-        let mut assumptions = self.assumptions(key)?;
+    /// The one corruption loop, over the same queries as `prove_under`:
+    /// every SAT model marks all points that differ under it, and
+    /// `complete` is false only on budget exhaustion.
+    fn corruption_under(&mut self, mut assumptions: Vec<Lit>) -> Corruption {
         let _span = alice_obs::span("cec.corruption");
         self.solver.conflict_budget = self.budget;
         let total = self.diffs.len();
@@ -1057,27 +679,181 @@ impl KeyedMiter {
                 }
             }
         }
-        self.solver.reset_to_root();
-        Ok(Corruption {
+        Corruption {
             corrupted,
             total,
             complete,
+        }
+    }
+
+    /// Reads a [`Counterexample`] out of the solver's current model.
+    fn extract_cex(&self, diffs: Vec<String>) -> Box<Counterexample> {
+        let s = &self.solver;
+        let port = |ports: &[(Symbol, Vec<Lit>)]| -> Vec<(Symbol, Vec<bool>)> {
+            ports
+                .iter()
+                .map(|(n, lits)| (*n, lits.iter().map(|&l| model_value(s, l)).collect()))
+                .collect()
+        };
+        let bits = |regs: &[(Symbol, Lit)]| -> Vec<(Symbol, bool)> {
+            regs.iter().map(|(n, l)| (*n, model_value(s, *l))).collect()
+        };
+        Box::new(Counterexample {
+            inputs: port(&self.shared_inputs),
+            state: bits(&self.shared_state),
+            key_inputs: port(&self.key_inputs),
+            key_state: bits(&self.key_state),
+            diffs,
         })
     }
 
-    fn extract_cex(&self, diffs_true: Vec<String>) -> Box<Counterexample> {
-        extract_model_cex(
-            &self.solver,
-            &self.shared_inputs,
-            &self.shared_state,
-            &self.key_inputs,
-            &self.key_state,
-            diffs_true,
-        )
+    /// Difference points that are true under the solver's current model.
+    fn model_diff_names(&self) -> Vec<String> {
+        self.diffs
+            .iter()
+            .filter(|&&(_, d)| model_value(&self.solver, d))
+            .map(|(n, _)| n.clone())
+            .collect()
+    }
+}
+
+/// An assumption-parameterized key miter: the golden/revised pair
+/// encoded **once** with the bitstream registers left as *free*
+/// variables, so the correct-key equivalence proof and every wrong-key
+/// corruption analysis become [`Solver::solve_with`] calls on one
+/// long-lived solver. Learned clauses, sweep-derived equalities,
+/// variable activities, and saved phases all transfer across keys —
+/// the per-key cost is one assumption solve instead of a fresh Tseitin
+/// encode plus a cold CDCL search.
+///
+/// The registers named by [`MiterOptions::pin_state`] define the
+/// assumption *slots* (their pinned values are ignored at build time);
+/// every query supplies concrete values for some or all slots via
+/// [`KeyedMiter::prove`] / [`KeyedMiter::corruption`]. Slots a query
+/// leaves unnamed stay free, so the verdict then covers every value of
+/// the unnamed bits — the attacker's view, exactly as in a keyless
+/// [`Miter`].
+///
+/// # Equivalence with the pinned-constant path
+///
+/// The queries are [`Miter`]'s own prove and corruption loops, posed
+/// under the key's assumptions. For any complete key they return
+/// *bit-identical* verdicts and corruption sets to a fresh [`Miter`]
+/// built with the same bits in [`MiterOptions::pin_state`]: both paths
+/// compute exact answers to the same logical query, and assumptions
+/// constrain the free key bits to precisely the pinned constants. What
+/// changes is only wall-clock — the keyed CNF keeps the configuration
+/// mux trees the pinned encode would have constant-folded, and in
+/// exchange amortizes encode and search effort across all N keys of a
+/// sweep.
+///
+/// A clone copies the whole solver state (learned clauses, activities,
+/// saved phases), so one built and warmed miter can serve several
+/// threads without encoding or sweeping the pair again.
+#[derive(Clone)]
+pub struct KeyedMiter {
+    miter: Miter,
+    /// The `pin_state` registers left free, in revised `dff_records`
+    /// order, each with its assumption-slot literal.
+    key_slots: Vec<(Symbol, Lit)>,
+    slot_of: HashMap<Symbol, Lit>,
+}
+
+impl KeyedMiter {
+    /// Builds the keyed miter of golden `a` against revised `b`.
+    ///
+    /// The fourth argument is unused. It is kept only so that existing
+    /// callers still compile, and will be removed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MiterError`] when the two netlists' boundaries cannot
+    /// be paired (the same conditions as [`Miter::build`]).
+    pub fn build(
+        a: &Netlist,
+        b: &Netlist,
+        opts: &MiterOptions,
+        _unused: usize,
+    ) -> Result<KeyedMiter, MiterError> {
+        let _span = alice_obs::span("cec.keyed_build");
+        let (miter, key_slots) = assemble(a, b, opts, true)?;
+        let slot_of = key_slots.iter().copied().collect();
+        Ok(KeyedMiter {
+            miter,
+            key_slots,
+            slot_of,
+        })
     }
 
-    fn model_diff_names(&self) -> Vec<String> {
-        model_diff_names_of(&self.solver, &self.diffs)
+    /// The assumption slots, in revised `dff_records` order: one
+    /// `(register, free literal)` per [`MiterOptions::pin_state`] entry.
+    pub fn key_slots(&self) -> &[(Symbol, Lit)] {
+        &self.key_slots
+    }
+
+    /// Number of compared difference points (output bits + paired
+    /// next-state functions).
+    pub fn diff_points(&self) -> usize {
+        self.miter.diff_points()
+    }
+
+    /// CNF statistics: `(variables, clauses)` of the keyed miter.
+    pub fn cnf_size(&self) -> (usize, usize) {
+        self.miter.cnf_size()
+    }
+
+    /// Statistics of the SAT-sweeping pass that ran at build time.
+    pub fn sweep_stats(&self) -> SweepStats {
+        self.miter.sweep_stats()
+    }
+
+    /// Cumulative solver search effort across every query so far.
+    pub fn stats(&self) -> EngineStats {
+        self.miter.solver.stats()
+    }
+
+    /// Lowers a key to its assumption set: one literal per named slot,
+    /// positive for `true` bits.
+    ///
+    /// # Errors
+    ///
+    /// [`MiterError::UnknownPin`] when `key` names a register that is
+    /// not an assumption slot.
+    pub fn assumptions(&self, key: &[(Symbol, bool)]) -> Result<Vec<Lit>, MiterError> {
+        key.iter()
+            .map(|&(name, v)| match self.slot_of.get(&name) {
+                Some(&l) => Ok(if v { l } else { l.negate() }),
+                None => Err(MiterError::UnknownPin(name.to_string())),
+            })
+            .collect()
+    }
+
+    /// Proves equivalence under `key` — [`Miter::prove`]'s loop under
+    /// the key's assumptions. The solver is reset to the root
+    /// afterwards, so the next key starts from a coherent level-0 state.
+    ///
+    /// # Errors
+    ///
+    /// [`MiterError::UnknownPin`] when `key` names an unknown register.
+    pub fn prove(&mut self, key: &[(Symbol, bool)]) -> Result<CecResult, MiterError> {
+        let assumptions = self.assumptions(key)?;
+        let r = self.miter.prove_under(assumptions);
+        self.miter.solver.reset_to_root();
+        Ok(r)
+    }
+
+    /// Computes the exact corruptible-point set under `key` —
+    /// [`Miter::corruption`]'s loop under the key's assumptions. The
+    /// solver is reset to the root afterwards.
+    ///
+    /// # Errors
+    ///
+    /// [`MiterError::UnknownPin`] when `key` names an unknown register.
+    pub fn corruption(&mut self, key: &[(Symbol, bool)]) -> Result<Corruption, MiterError> {
+        let assumptions = self.assumptions(key)?;
+        let c = self.miter.corruption_under(assumptions);
+        self.miter.solver.reset_to_root();
+        Ok(c)
     }
 }
 
@@ -1387,15 +1163,6 @@ mod tests {
             miter_fingerprint(&a1, &b1, &opts),
             miter_fingerprint(&a1, &b1, &budgeted)
         );
-        // The key-prefix set does: it changes what would even build.
-        let no_prefixes = MiterOptions {
-            key_prefixes: Vec::new(),
-            ..MiterOptions::default()
-        };
-        assert_ne!(
-            miter_fingerprint(&a1, &b1, &opts),
-            miter_fingerprint(&a1, &b1, &no_prefixes)
-        );
         // Cross-wiring the input pairing (same shapes, different binding)
         // changes it: swap which golden port pairs with which revised
         // position by renaming ports asymmetrically.
@@ -1442,16 +1209,6 @@ mod tests {
         assert!(!matches!(r, CecResult::NotEquivalent(_)));
     }
 
-    fn tmp_lemma_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "alice-miter-lemma-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     /// a^b per bit, versus the (a&!b)|(!a&b) decomposition: equivalent,
     /// structurally different, so every bit is real sweep work.
     fn xor_vs_decomposed(width: u32) -> (Netlist, Netlist) {
@@ -1476,54 +1233,20 @@ mod tests {
     }
 
     #[test]
-    fn warm_lemmas_skip_sweep_proofs() {
+    fn sweep_merges_the_xor_decomposition() {
         let (a, b) = xor_vs_decomposed(4);
-        let dir = tmp_lemma_dir("warm");
-
-        // Cold run: every merge costs a per-pair SAT proof, and the
-        // proven lemmas are persisted on flush.
-        let store = Arc::new(Store::open(&dir).expect("open"));
-        let opts = MiterOptions {
-            lemma_store: Some(Arc::clone(&store)),
-            ..MiterOptions::default()
-        };
-        let m = Miter::build(&a, &b, &opts).expect("builds");
-        let s1 = m.sweep_stats();
-        assert!(s1.merged > 0, "sweep must stitch the xor decompositions");
-        assert_eq!(s1.lemma_hits, 0, "cold store cannot serve lemmas");
-        assert_eq!(m.prove(), CecResult::Equivalent);
-        store.flush().expect("flush");
-        drop(store);
-        drop(opts);
-
-        // Warm run from a fresh handle (a second process): the same
-        // cone pairs are served from the store, skipping their proofs,
-        // and the verdict is unchanged.
-        let store = Arc::new(Store::open(&dir).expect("reopen"));
-        let opts = MiterOptions {
-            lemma_store: Some(Arc::clone(&store)),
-            ..MiterOptions::default()
-        };
-        let m = Miter::build(&a, &b, &opts).expect("builds");
-        let s2 = m.sweep_stats();
-        assert!(s2.lemma_hits > 0, "warm lemmas must be served: {s2:?}");
-        assert_eq!(s2.merged, s1.merged, "lemmas change cost, not merges");
+        let m = Miter::build(&a, &b, &MiterOptions::default()).expect("builds");
         assert!(
-            s2.candidates - s2.lemma_hits < s1.candidates,
-            "warm run must pose fewer per-pair SAT proofs ({s2:?} vs {s1:?})"
+            m.sweep_stats().merged > 0,
+            "sweep must stitch the xor decompositions"
         );
         assert_eq!(m.prove(), CecResult::Equivalent);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn lemmas_transfer_across_pinned_key_values() {
-        // A *novel* miter over familiar sub-structures: the same netlist
-        // pair under a different pinned key value. y0 is key-independent
-        // xor-vs-decomposition work; y1 reads the cfg register k but is
-        // equal to a[0] for either value of k. Lemmas proven for the y0
-        // cones under k=0 must warm the k=1 miter even though its
-        // whole-miter fingerprint differs.
+    fn key_muxed_pair_proves_under_both_pins() {
+        // y0 is key-independent xor-vs-decomposition work; y1 reads the
+        // cfg register k but equals a[0] for either value of k.
         let width = 4u32;
         let mut g = Netlist::new("g");
         let a = g.add_input("a", width);
@@ -1553,42 +1276,15 @@ mod tests {
         let y1 = r.mux(k, a[0], alt);
         r.add_output("y1", vec![y1]);
 
-        let dir = tmp_lemma_dir("crosspin");
-        let pin = |v: bool, store: &Arc<Store>| MiterOptions {
-            pin_state: vec![(Symbol::intern("top.le0.cfg[0]"), v)],
-            lemma_store: Some(Arc::clone(store)),
-            ..MiterOptions::default()
-        };
-
-        let store = Arc::new(Store::open(&dir).expect("open"));
-        let o0 = pin(false, &store);
-        let m = Miter::build(&g, &r, &o0).expect("builds");
-        let s1 = m.sweep_stats();
-        assert!(s1.merged > 0);
-        assert_eq!(s1.lemma_hits, 0);
-        assert_eq!(m.prove(), CecResult::Equivalent);
-        store.flush().expect("flush");
-        drop(store);
-
-        let store = Arc::new(Store::open(&dir).expect("reopen"));
-        let o1 = pin(true, &store);
-        assert_ne!(
-            miter_fingerprint(&g, &r, &o0),
-            miter_fingerprint(&g, &r, &o1),
-            "different pinned key bits must be a whole-miter cache miss"
-        );
-        let m = Miter::build(&g, &r, &o1).expect("builds");
-        let s2 = m.sweep_stats();
-        assert!(
-            s2.lemma_hits > 0,
-            "key-independent lemmas must transfer: {s2:?}"
-        );
-        assert!(
-            s2.candidates - s2.lemma_hits < s1.candidates,
-            "warm novel miter must pose fewer per-pair SAT proofs ({s2:?} vs {s1:?})"
-        );
-        assert_eq!(m.prove(), CecResult::Equivalent);
-        let _ = std::fs::remove_dir_all(&dir);
+        for v in [false, true] {
+            let opts = MiterOptions {
+                pin_state: vec![(Symbol::intern("top.le0.cfg[0]"), v)],
+                ..MiterOptions::default()
+            };
+            let m = Miter::build(&g, &r, &opts).expect("builds");
+            assert!(m.sweep_stats().merged > 0, "pin {v}");
+            assert_eq!(m.prove(), CecResult::Equivalent, "pin {v}");
+        }
     }
 
     /// Golden `y = a`; revised `y = a ^ cfg` with a 2-bit cfg chain:
@@ -1700,6 +1396,108 @@ mod tests {
         assert_eq!(
             km.prove(&bogus).err(),
             Some(MiterError::UnknownPin("top.le9.cfg[7]".to_string()))
+        );
+    }
+
+    /// Golden `y = a * b`; revised `y = (b * a) ^ (cfg & b[0])` per bit,
+    /// with one self-looped cfg register per output bit. The two
+    /// products add their partial products in different orders, so the
+    /// sweep gives up on the upper output bits and the queries need
+    /// real search. The correct key is all zeros; each set cfg bit
+    /// corrupts its output bit.
+    fn keyed_multiplier(width: u32) -> (Netlist, Netlist, Vec<(Symbol, bool)>) {
+        use alice_netlist::words;
+        let mut g = Netlist::new("g");
+        let a = g.add_input("a", width);
+        let b = g.add_input("b", width);
+        let y = words::mul(&mut g, &a, &b);
+        g.add_output("y", y);
+
+        let mut r = Netlist::new("r");
+        let a = r.add_input("a", width);
+        let b = r.add_input("b", width);
+        let p = words::mul(&mut r, &b, &a);
+        let mut key = Vec::new();
+        let mut y = Vec::new();
+        for (i, &pi) in p.iter().enumerate() {
+            let name = format!("top.le0.cfg[{i}]");
+            let k = r.dff(name.as_str(), false);
+            r.set_dff_input(k, k);
+            key.push((Symbol::intern(&name), false));
+            let t = r.and(k, b[0]);
+            y.push(r.xor(pi, t));
+        }
+        r.add_output("y", y);
+        (g, r, key)
+    }
+
+    /// Pins the solver's search on both query paths: the effort counts
+    /// after a pinned proof, after a pinned wrong-key corruption
+    /// analysis, and after a keyed proof followed by the corruption
+    /// analyses of three wrong keys on the same solver. Any change to
+    /// how the miters pose their queries moves these numbers.
+    #[test]
+    fn miter_search_counts_are_pinned() {
+        let (g, r, correct) = keyed_multiplier(8);
+        let pinned = |key: &[(Symbol, bool)]| MiterOptions {
+            pin_state: key.to_vec(),
+            ..MiterOptions::default()
+        };
+        let counts = |s: EngineStats| {
+            [
+                s.conflicts,
+                s.learned,
+                s.propagations,
+                s.restarts,
+                s.assumption_solves,
+                s.learned_kept,
+                s.learned_dropped,
+            ]
+        };
+        let wrong: Vec<Vec<(Symbol, bool)>> = [&[0][..], &[1, 4], &[2, 3, 5]]
+            .iter()
+            .map(|flips| {
+                let mut key = correct.clone();
+                for &i in *flips {
+                    key[i].1 = !key[i].1;
+                }
+                key
+            })
+            .collect();
+
+        let (verdict, stats) = Miter::build(&g, &r, &pinned(&correct))
+            .expect("builds")
+            .prove_with_stats();
+        assert_eq!(verdict, CecResult::Equivalent);
+        assert_eq!(
+            counts(stats),
+            [36317, 36313, 2931090, 224, 14, 29929, 28308]
+        );
+
+        let (c, stats) = Miter::build(&g, &r, &pinned(&wrong[1]))
+            .expect("builds")
+            .corruption_with_stats();
+        assert!(c.complete);
+        assert_eq!(c.corrupted.len(), 2);
+        assert_eq!(
+            counts(stats),
+            [34319, 34315, 2843246, 211, 14, 30180, 28114]
+        );
+
+        let mut km = KeyedMiter::build(&g, &r, &pinned(&correct), 1).expect("builds");
+        assert_eq!(km.prove(&correct), Ok(CecResult::Equivalent));
+        let corrupted: Vec<usize> = wrong
+            .iter()
+            .map(|key| {
+                let c = km.corruption(key).expect("known slots");
+                assert!(c.complete);
+                c.corrupted.len()
+            })
+            .collect();
+        assert_eq!(corrupted, [1, 2, 3]);
+        assert_eq!(
+            counts(km.stats()),
+            [36671, 36669, 3091313, 202, 35, 34640, 32455]
         );
     }
 }

@@ -22,29 +22,11 @@
 //! typically dissolves an entire family of false candidates. Candidates
 //! are processed in topological order so each proof runs with its fanin
 //! lemmas already in the clause database and stays local.
-//!
-//! **Persisted lemmas.** With a lemma store attached
-//! ([`crate::miter::MiterOptions::lemma_store`]), every per-pair proof
-//! consults — and on success extends — a cross-process cache keyed by
-//! the pair's *boundary-labelled cone hashes* (`lemma_key`): a
-//! name-free structural hash of each candidate's combinational cone,
-//! whose leaves are labelled by their miter-boundary role (shared-input
-//! ordinal, pinned *value*, key ordinal). The label scheme makes a hit
-//! sound by construction: equal keys mean the two cones compute the
-//! same pair of functions over identically-labelled leaves that the
-//! solver once proved equal for *all* leaf valuations (pinned leaves
-//! fold their constant value into the label, so a lemma never outlives
-//! the pin value it depended on). A novel miter over the same netlist
-//! pair with *different* pinned key bits therefore reuses every lemma
-//! whose cones don't read the changed pins — it starts warm even though
-//! its whole-miter fingerprint misses.
 
-use crate::cache;
 use crate::encode::{model_value, Encoder};
 use alice_attacks::solver::{Lit, SatResult, Solver};
-use alice_intern::{StableHasher, Symbol};
+use alice_intern::Symbol;
 use alice_netlist::ir::{Lit as NLit, Netlist, Node};
-use alice_store::Store;
 use std::collections::{HashMap, HashSet};
 
 /// Base signature: two 64-bit words = 128 random patterns. Refinement
@@ -171,132 +153,21 @@ pub struct SweepStats {
     pub candidates: usize,
     /// Pairs proven equal and asserted as unit lemmas.
     pub merged: usize,
-    /// Merges served from the persistent lemma store — candidates whose
-    /// per-pair SAT proof was skipped entirely. Every remaining
-    /// candidate (`candidates - lemma_hits`) cost a solver call.
-    pub lemma_hits: usize,
     /// Pairs the per-pair budget gave up on in the final round.
     pub undecided: usize,
     /// Refinement rounds run.
     pub rounds: usize,
 }
 
-/// A 128-bit boundary label (see `crate::miter`'s label construction)
-/// or cone hash.
-pub(crate) type ConeHash = (u64, u64);
-
 /// The per-netlist boundary handles the sweep needs: literal bindings (to
-/// read counterexample models), base signature words, and boundary
-/// labels (for the persistent lemma cache), all in lockstep.
+/// read counterexample models) and base signature words, in lockstep.
 pub(crate) struct SweepSide<'a> {
     pub n: &'a Netlist,
     pub input_lits: &'a HashMap<Symbol, Vec<Lit>>,
     pub state_lits: &'a HashMap<Symbol, Lit>,
     pub input_base: &'a HashMap<Symbol, Vec<Sig>>,
     pub state_base: &'a HashMap<Symbol, Sig>,
-    pub input_labels: &'a HashMap<Symbol, Vec<ConeHash>>,
-    pub state_labels: &'a HashMap<Symbol, ConeHash>,
     pub node_lits: &'a [Lit],
-}
-
-fn hash_parts(tag: &str, parts: &[ConeHash]) -> ConeHash {
-    let mut h = StableHasher::new();
-    h.write_str(tag);
-    for &(x, y) in parts {
-        h.write_u64(x);
-        h.write_u64(y);
-    }
-    h.finish()
-}
-
-/// Hash of the function a *literal* denotes: the cone hash of its node
-/// plus the complement flag.
-fn lit_hash(cones: &[ConeHash], l: NLit) -> ConeHash {
-    let base = cones[l.node().0 as usize];
-    let mut h = StableHasher::new();
-    h.write_str("lit");
-    h.write_u64(base.0);
-    h.write_u64(base.1);
-    h.write_u32(l.is_compl() as u32);
-    h.finish()
-}
-
-/// Per-node structural hashes of every combinational cone, expressed
-/// over the miter's boundary labels instead of names or node ids: two
-/// equal hashes (within one miter or across miters) denote structurally
-/// identical cones over identically-labelled leaves — i.e. the same
-/// function of the same boundary roles. Commutative gate fanins are
-/// sorted so operand order cannot split otherwise-equal cones.
-pub(crate) fn cone_hashes(
-    n: &Netlist,
-    input_labels: &HashMap<Symbol, Vec<ConeHash>>,
-    state_labels: &HashMap<Symbol, ConeHash>,
-) -> Vec<ConeHash> {
-    let mut h: Vec<ConeHash> = vec![(0, 0); n.len()];
-    for (name, bits) in &n.inputs {
-        let labels = &input_labels[name];
-        for (&id, &lab) in bits.iter().zip(labels) {
-            h[id.0 as usize] = hash_parts("leaf", &[lab]);
-        }
-    }
-    for (id, name, _, _) in n.dff_records() {
-        h[id.0 as usize] = hash_parts("leaf", &[state_labels[&name]]);
-    }
-    let order = n.comb_topo_order().expect("acyclic netlist");
-    for id in order {
-        let idx = id.0 as usize;
-        match n.node(id) {
-            Node::Input { .. } | Node::Dff { .. } => {}
-            Node::Const0 => h[idx] = hash_parts("const0", &[]),
-            Node::Buf(a) => {
-                let la = lit_hash(&h, *a);
-                h[idx] = hash_parts("buf", &[la]);
-            }
-            Node::And(a, b) => {
-                let (mut x, mut y) = (lit_hash(&h, *a), lit_hash(&h, *b));
-                if x > y {
-                    std::mem::swap(&mut x, &mut y);
-                }
-                h[idx] = hash_parts("and", &[x, y]);
-            }
-            Node::Xor(a, b) => {
-                let (mut x, mut y) = (lit_hash(&h, *a), lit_hash(&h, *b));
-                if x > y {
-                    std::mem::swap(&mut x, &mut y);
-                }
-                h[idx] = hash_parts("xor", &[x, y]);
-            }
-            Node::Mux { s, t, e } => {
-                let (ls, lt, le) = (lit_hash(&h, *s), lit_hash(&h, *t), lit_hash(&h, *e));
-                h[idx] = hash_parts("mux", &[ls, lt, le]);
-            }
-        }
-    }
-    h
-}
-
-/// The canonical persistent key of the lemma "cone `a` (complemented if
-/// `fa`) equals cone `b` (complemented if `fb`)". Equality is symmetric
-/// and invariant under complementing *both* sides, so the key sorts the
-/// two literal-hashes and takes the minimum over the joint-complement
-/// pair — the same proven fact always lands on the same key.
-pub(crate) fn lemma_key(ha: ConeHash, fa: bool, hb: ConeHash, fb: bool) -> (u64, u64) {
-    let lit = |base: ConeHash, f: bool| -> ConeHash {
-        let mut h = StableHasher::new();
-        h.write_str("lit");
-        h.write_u64(base.0);
-        h.write_u64(base.1);
-        h.write_u32(f as u32);
-        h.finish()
-    };
-    let variant = |fa: bool, fb: bool| -> (u64, u64) {
-        let (mut x, mut y) = (lit(ha, fa), lit(hb, fb));
-        if x > y {
-            std::mem::swap(&mut x, &mut y);
-        }
-        hash_parts("pair", &[x, y])
-    };
-    variant(fa, fb).min(variant(!fa, !fb))
 }
 
 impl SweepSide<'_> {
@@ -348,29 +219,16 @@ impl SweepSide<'_> {
 
 /// Runs the counterexample-guided sweeping pass: proves golden/revised
 /// internal node pairs with matching signatures equal and asserts the
-/// equalities as unit lemmas in `solver`. With a `lemma_store`, pairs
-/// whose canonical cone-hash key is already persisted skip their SAT
-/// proof (the equality is asserted directly), and fresh proofs are
-/// written back for future processes.
+/// equalities as unit lemmas in `solver`.
 pub(crate) fn sweep(
     solver: &mut Solver,
     enc: &mut Encoder,
     a: &SweepSide<'_>,
     b: &SweepSide<'_>,
-    lemma_store: Option<&Store>,
 ) -> SweepStats {
     let _span = alice_obs::span("cec.sweep");
-    let debug = std::env::var_os("ALICE_CEC_DEBUG").is_some();
     let saved_budget = solver.conflict_budget;
     solver.conflict_budget = Some(PAIR_CONFLICT_BUDGET);
-    // Cone hashes are boundary-relative and round-independent, so they
-    // are computed once — and only when a lemma store is listening.
-    let cones = lemma_store.map(|_| {
-        (
-            cone_hashes(a.n, a.input_labels, a.state_labels),
-            cone_hashes(b.n, b.input_labels, b.state_labels),
-        )
-    });
     // All boundary literals whose model values a counterexample snapshot
     // must capture.
     let boundary: Vec<Lit> = a
@@ -397,16 +255,14 @@ pub(crate) fn sweep(
 
         // First golden literal per canonical signature, topological order
         // (inputs and registers included so buffered pass-throughs merge).
-        // The node index rides along so the lemma cache can hash the
-        // representative's cone.
-        let mut classes: HashMap<Vec<u64>, (Lit, usize)> = HashMap::new();
+        let mut classes: HashMap<Vec<u64>, Lit> = HashMap::new();
         for (id, node) in a.n.iter() {
             if matches!(node, Node::Const0) {
                 continue;
             }
             let idx = id.0 as usize;
             let (w, l) = canon(sig_a[idx].clone(), a.node_lits[idx]);
-            classes.entry(w).or_insert((l, idx));
+            classes.entry(w).or_insert(l);
         }
 
         let mut chunk: Vec<HashMap<Lit, bool>> = Vec::new();
@@ -416,9 +272,9 @@ pub(crate) fn sweep(
             if !node.is_gate() {
                 continue;
             }
-            let idx_b = id.0 as usize;
-            let (w, lb) = canon(sig_b[idx_b].clone(), b.node_lits[idx_b]);
-            let Some(&(la, idx_a)) = classes.get(&w) else {
+            let idx = id.0 as usize;
+            let (w, lb) = canon(sig_b[idx].clone(), b.node_lits[idx]);
+            let Some(&la) = classes.get(&w) else {
                 continue;
             };
             if la == lb || la == lb.negate() {
@@ -435,28 +291,6 @@ pub(crate) fn sweep(
             if d == enc.tru() {
                 continue;
             }
-            // The persistent lemma key: the candidate literals' cone
-            // hashes with their complement-relative-to-node flags (canon
-            // may have flipped either literal).
-            let key = cones.as_ref().map(|(ca, cb)| {
-                lemma_key(
-                    ca[idx_a],
-                    la != a.node_lits[idx_a],
-                    cb[idx_b],
-                    lb != b.node_lits[idx_b],
-                )
-            });
-            if let (Some(store), Some(key)) = (lemma_store, key) {
-                if cache::lookup_lemma(store, key) {
-                    // Proven equal in a past process: assert the lemma
-                    // without a solver call.
-                    solver.add_clause(&[d.negate()]);
-                    merged.insert((la, lb));
-                    stats.merged += 1;
-                    stats.lemma_hits += 1;
-                    continue;
-                }
-            }
             let verdict = {
                 let _span = alice_obs::span("cec.pair_proof");
                 solver.solve_with(&[d])
@@ -466,9 +300,6 @@ pub(crate) fn sweep(
                     solver.add_clause(&[d.negate()]);
                     merged.insert((la, lb));
                     stats.merged += 1;
-                    if let (Some(store), Some(key)) = (lemma_store, key) {
-                        cache::record_lemma(store, key);
-                    }
                 }
                 SatResult::Sat => {
                     refuted.insert((la, lb));
@@ -485,12 +316,6 @@ pub(crate) fn sweep(
             }
         }
         stats.undecided = undecided;
-        if debug {
-            eprintln!(
-                "cec sweep round {round}: {stats:?}, {} new witnesses",
-                chunk.len()
-            );
-        }
         if chunk.is_empty() || (round > 0 && stats.merged == merged_before) {
             // Nothing left to dissolve, or refinement stopped paying off.
             break;
@@ -500,7 +325,6 @@ pub(crate) fn sweep(
     solver.conflict_budget = saved_budget;
     SWEEP_CANDIDATES.add(stats.candidates as u64);
     SWEEP_MERGED.add(stats.merged as u64);
-    SWEEP_LEMMA_HITS.add(stats.lemma_hits as u64);
     stats
 }
 
@@ -513,10 +337,6 @@ static SWEEP_CANDIDATES: alice_obs::Counter = alice_obs::Counter::new(
 static SWEEP_MERGED: alice_obs::Counter = alice_obs::Counter::new(
     "alice_cec_sweep_merged_total",
     "Candidate pairs proven equal and stitched together",
-);
-static SWEEP_LEMMA_HITS: alice_obs::Counter = alice_obs::Counter::new(
-    "alice_cec_sweep_lemma_hits_total",
-    "Pair merges served by persisted lemmas instead of SAT calls",
 );
 
 #[cfg(test)]

@@ -57,17 +57,6 @@ pub struct AliceConfig {
     /// unlimited (the proof either finishes or runs forever — prefer a
     /// budget on untrusted inputs).
     pub verify_conflict_budget: Option<u64>,
-    /// Use the incremental keyed-miter CEC path for the verify stage's
-    /// wrong-key sweep (YAML `incremental_cec:`): encode the
-    /// golden/revised pair once per worker with key bits left free and
-    /// answer every key by `solve_with(assumptions)` on a long-lived
-    /// solver, reusing learned clauses across keys. On by default;
-    /// verdicts and corruption counts are identical either way (the
-    /// pinned-constant path remains as the A/B baseline), only
-    /// wall-clock changes. Only consulted when
-    /// [`AliceConfig::verify_wrong_keys`] > 0 — a lone correct-key
-    /// proof always uses the pinned path.
-    pub incremental_cec: bool,
     /// Use the content-addressed characterization cache (the
     /// [`DesignDb`](crate::db::DesignDb)). On by default; the `alice`
     /// CLI's `--no-cache` turns it off for A/B measurements.
@@ -111,7 +100,6 @@ impl Default for AliceConfig {
             verify: false,
             verify_wrong_keys: 0,
             verify_conflict_budget: Some(5_000_000),
-            incremental_cec: true,
             cache: true,
             store: None,
             store_budget: None,
@@ -234,9 +222,6 @@ impl AliceConfig {
         if let Some(v) = y.get("wrong_keys") {
             cfg.verify_wrong_keys = v.as_u32().ok_or_else(|| bad("wrong_keys"))? as usize;
         }
-        if let Some(v) = y.get("incremental_cec") {
-            cfg.incremental_cec = v.as_bool().ok_or_else(|| bad("incremental_cec"))?;
-        }
         if let Some(v) = y.get("verify_budget") {
             let budget = v.as_u32().ok_or_else(|| bad("verify_budget"))?;
             cfg.verify_conflict_budget = if budget == 0 {
@@ -284,7 +269,7 @@ impl AliceConfig {
 }
 
 /// The top-level keys [`AliceConfig::from_yaml`] reads.
-const KEYS: [&str; 18] = [
+const KEYS: [&str; 17] = [
     "max_io_pins",
     "max_efpgas",
     "alpha",
@@ -297,7 +282,6 @@ const KEYS: [&str; 18] = [
     "trace",
     "metrics",
     "wrong_keys",
-    "incremental_cec",
     "verify_budget",
     "top",
     "score_model",
@@ -382,14 +366,6 @@ mod tests {
         assert!(!unlimited.verify, "verify defaults to off");
         assert!(AliceConfig::from_yaml("verify: maybe").is_err());
         assert!(AliceConfig::from_yaml("wrong_keys: lots").is_err());
-    }
-
-    #[test]
-    fn incremental_cec_parses() {
-        assert!(AliceConfig::default().incremental_cec, "on by default");
-        let cfg = AliceConfig::from_yaml("incremental_cec: false").expect("parse");
-        assert!(!cfg.incremental_cec);
-        assert!(AliceConfig::from_yaml("incremental_cec: maybe").is_err());
     }
 
     #[test]

@@ -41,9 +41,8 @@
 //! Writes land in per-key shards with per-shard locks, so concurrent
 //! dbs over one directory flush without contending on a whole-kind
 //! segment. Beyond the three oracles above, the store
-//! also carries the CEC proof cache and the sweeper's per-pair lemma
-//! segment (see `alice_cec::cache`), handed to the verify stage via
-//! [`DesignDb::store`].
+//! also carries the CEC proof cache (see `alice_cec::cache`), handed to
+//! the verify stage via [`DesignDb::store`].
 
 use crate::error::AliceError;
 use alice_fabric::{create_efpga, EfpgaImpl, FabricArch};

@@ -19,16 +19,18 @@
 //! wrong-key corruptibility sweep: for each of N wrong bitstreams it
 //! computes the exact set of output/next-state bits an attacker-visible
 //! difference can reach — the security-relevant converse of the
-//! equivalence proof. By default (see [`AliceConfig::incremental_cec`])
-//! the sweep is *incremental*: the pair is encoded and swept **once per
-//! verify**, as the assumption-parameterized [`KeyedMiter`] that proves
-//! the correct key. Unique flip sets are partitioned into contiguous
-//! slices across workers; the first slice keeps that warmed miter and
-//! every other slice gets a clone of it, and each worker answers its
-//! whole slice by `solve_with(assumptions)` on its one long-lived
-//! solver — learned clauses, variable activities, saved phases, and the
-//! key's own decision levels carry across queries. Verdicts and
-//! corruption counts are bit-identical to the pinned-constant baseline.
+//! equivalence proof. With wrong keys to analyse, the pair is encoded
+//! and swept **once per verify**, as the assumption-parameterized
+//! [`KeyedMiter`] that proves the correct key. Unique flip sets are
+//! partitioned into contiguous slices across workers; the first slice
+//! keeps that warmed miter and every other slice gets a clone of it,
+//! and each worker answers its whole slice by `solve_with(assumptions)`
+//! on its one long-lived solver — learned clauses, variable activities,
+//! saved phases, and the key's own decision levels carry across
+//! queries. Verdicts and corruption counts are bit-identical to a
+//! pinned [`Miter`] per key. A lone correct-key proof (no wrong keys)
+//! runs on the pinned [`Miter`], whose encode-time constant folding is
+//! unbeatable for a single key.
 
 use crate::config::AliceConfig;
 use crate::db::DesignDb;
@@ -102,11 +104,10 @@ pub struct WrongKeyOutcome {
     pub complete: bool,
     /// Wall-clock of this key's analysis, in microseconds — per key, so
     /// one pathological key is visible instead of hiding inside the
-    /// sweep's aggregate mean. On the incremental path this is the
-    /// assumption solves on a miter built before the sweep (only when
-    /// the proof came from the store does a worker's first uncached key
-    /// also pay for building one); the classic path builds a fresh
-    /// pinned miter per key, and that build is included.
+    /// sweep's aggregate mean. It covers the key's assumption solves on
+    /// a miter built before the sweep; only when the proof came from the
+    /// store does a worker's first uncached key also pay for building
+    /// its miter.
     pub solve_us: u64,
     /// True when the verdict was served from the persistent proof
     /// cache instead of being solved.
@@ -244,11 +245,7 @@ pub fn verify_redaction(
             })
         }
     };
-    let mut opts = base_options(redacted, cfg);
-    // Hand the sweep the store's lemma segment: even when the
-    // whole-miter fingerprint below misses (a novel query), per-pair
-    // equalities proven by any past sweep warm-start this one.
-    opts.lemma_store = db.store().cloned();
+    let opts = base_options(redacted, cfg);
 
     // The persistent proof cache: an identical (golden, revised, pins)
     // query across suite re-runs or CLI invocations skips the whole
@@ -259,16 +256,15 @@ pub fn verify_redaction(
         .store()
         .map(|s| (s.as_ref(), miter_fingerprint(&golden, &revised, &opts)));
     let cached = cache.and_then(|(s, fp)| cec_cache::lookup_proof(s, fp));
-    // The keyed miter behind an incremental correct-key proof, handed
-    // to the wrong-key sweep afterwards (and cloned for its further
-    // slices) so its sweep, learned clauses, activities, and saved
-    // phases keep working across the wrong keys.
+    // The keyed miter behind the correct-key proof, handed to the
+    // wrong-key sweep afterwards (and cloned for its further slices) so
+    // its sweep, learned clauses, activities, and saved phases keep
+    // working across the wrong keys.
     let mut seed: Option<KeyedMiter> = None;
-    // Incremental solving pays when its encode and search effort is
-    // amortized over many keys; a lone correct-key proof stays on the
-    // pinned-constant path, whose encode-time folding is unbeatable for
-    // a single key.
-    let incremental = cfg.incremental_cec && cfg.verify_wrong_keys > 0;
+    // A keyed miter pays when its encode and search effort is amortized
+    // over many keys; a lone correct-key proof stays on the pinned
+    // miter, whose encode-time folding is unbeatable for a single key.
+    let keyed = cfg.verify_wrong_keys > 0;
     let (outcome, diff_points, cnf_vars, cnf_clauses) = match cached {
         Some(proof) => {
             db.count_external_disk_hit();
@@ -282,7 +278,7 @@ pub fn verify_redaction(
         None => {
             let _span = alice_obs::span("verify.prove");
             let miter_err = |e: alice_cec::MiterError| AliceError::Verify(e.to_string());
-            let (result, diff_points, (cnf_vars, cnf_clauses)) = if incremental {
+            let (result, diff_points, (cnf_vars, cnf_clauses)) = if keyed {
                 // One assumption-parameterized miter proves the correct
                 // key and then serves the wrong-key sweep from the same
                 // solver.
@@ -351,19 +347,16 @@ fn splitmix64(state: &mut u64) -> u64 {
 ///
 /// Identical flip sets are deduplicated up front — duplicates share one
 /// analysis — and the unique keys are partitioned into contiguous slices
-/// across [`shard`] workers. With [`AliceConfig::incremental_cec`] on,
-/// each slice owns one long-lived [`KeyedMiter`] and answers its whole
-/// slice by assumption solves. The miter `seed`ed by the correct-key
-/// proof, complete with its sweep, learned clauses and saved phases,
-/// goes to slice 0 and a clone of it to every other slice, all dealt
-/// out before the workers start; only when the proof came from the
-/// store (no `seed`) does each worker build its own, on its slice's
-/// first uncached key. Otherwise every key builds a fresh pinned
-/// [`Miter`], the classic baseline. Either way each wrong key remains
+/// across [`shard`] workers. Each slice owns one long-lived
+/// [`KeyedMiter`] and answers its whole slice by assumption solves. The
+/// miter `seed`ed by the correct-key proof, complete with its sweep,
+/// learned clauses and saved phases, goes to slice 0 and a clone of it
+/// to every other slice, all dealt out before the workers start; only
+/// when the proof came from the store (no `seed`) does each worker build
+/// its own, on its slice's first uncached key. Each wrong key remains
 /// its own cacheable query (its pins are part of the miter fingerprint,
 /// computed on the *pinned* options), so re-sweeping an identical
-/// redaction serves every complete analysis from the store, and caches
-/// written by one path are served verbatim by the other.
+/// redaction serves every complete analysis from the store.
 fn wrong_key_sweep(
     golden: &Netlist,
     revised: &Netlist,
@@ -382,11 +375,7 @@ fn wrong_key_sweep(
     if key_bits.is_empty() {
         return Ok(Vec::new());
     }
-    let mut base = base_options(redacted, cfg);
-    // Each wrong key is a *novel* miter (its pins differ), but the
-    // key-independent cones repeat across all N of them — exactly the
-    // case the persisted sweep lemmas exist for.
-    base.lemma_store = db.store().cloned();
+    let base = base_options(redacted, cfg);
     let n = cfg.verify_wrong_keys;
 
     // Pre-draw the flip sets (deterministic, independent of sharding).
@@ -464,14 +453,13 @@ fn wrong_key_sweep(
                 });
                 continue;
             }
-            let c = if cfg.incremental_cec {
-                if km.is_none() {
-                    km = Some(KeyedMiter::build(golden, revised, &base, 0)?);
-                }
-                km.as_mut().unwrap().corruption(&opts.pin_state)?
-            } else {
-                Miter::build(golden, revised, &opts)?.corruption()
-            };
+            if km.is_none() {
+                km = Some(KeyedMiter::build(golden, revised, &base, 0)?);
+            }
+            let c = km
+                .as_mut()
+                .expect("built above")
+                .corruption(&opts.pin_state)?;
             if let Some((s, fp)) = cache {
                 if c.complete {
                     cec_cache::record_corruption(
@@ -626,6 +614,55 @@ endmodule
             "proof + 2 wrong keys served from disk, got {}",
             window.disk_hits
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_served_proof_leaves_each_worker_to_build_its_miter() {
+        // A store warmed with 2 wrong keys serves the proof and those
+        // keys to a 5-key run, so no proof miter exists to deal out:
+        // each of the 2 workers builds its own keyed miter on its first
+        // uncached key.
+        let dir = std::env::temp_dir().join(format!(
+            "alice-verify-lazy-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = Design::from_source("demo", SRC, None).expect("load");
+        let cfg = |wrong_keys: usize, store: Option<std::path::PathBuf>| AliceConfig {
+            verify: true,
+            verify_wrong_keys: wrong_keys,
+            jobs: 2,
+            store,
+            ..AliceConfig::cfg1()
+        };
+        Flow::new(cfg(2, Some(dir.clone()))).run(&d).expect("warm");
+
+        let flow = Flow::new(cfg(5, Some(dir.clone())));
+        let before = flow.db().counts();
+        let out = flow.run(&d).expect("flow");
+        let window = flow.db().counts().since(before);
+        let v = out.verify.expect("verify ran");
+        assert!(v.outcome.is_equivalent());
+        assert_eq!(v.wrong_keys.len(), 5);
+        assert!(
+            v.wrong_keys[..2].iter().all(|wk| wk.from_cache),
+            "the warmed keys are disk hits"
+        );
+        let solved: std::collections::BTreeSet<&[usize]> = v
+            .wrong_keys
+            .iter()
+            .filter(|wk| !wk.from_cache)
+            .map(|wk| wk.flipped.as_slice())
+            .collect();
+        assert!(!solved.is_empty(), "at least one key must be solved");
+        // Every miss is a solved key: the flow's artifacts and the proof
+        // all came from disk.
+        assert_eq!(window.misses, solved.len() as u64);
+
+        let cold = Flow::new(cfg(5, None)).run(&d).expect("flow");
+        assert_eq!(v.wrong_keys, cold.verify.expect("verify ran").wrong_keys);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

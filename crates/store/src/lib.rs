@@ -8,7 +8,7 @@
 //! parameter sweep of many invocations) starts warm.
 //!
 //! Layout: each artifact kind ([`Kind::Netlist`], [`Kind::LutMap`],
-//! [`Kind::Fabric`], [`Kind::Cec`], [`Kind::Lemma`]) is **sharded** into
+//! [`Kind::Fabric`], [`Kind::Cec`]) is **sharded** into
 //! [`SHARD_COUNT`] segment files (`netlists.00.seg` …
 //! `netlists.07.seg`) under the store directory, with the shard chosen
 //! by the low bits of the 128-bit content key ([`shard_of`]). Each file
@@ -100,16 +100,20 @@ pub type Key = (u64, u64);
 pub const MAGIC: [u8; 8] = *b"ALICSTOR";
 
 /// The on-disk format version. Version 2 folded the record key into the
-/// per-record checksum and added the lemma segment; version 3 sharded
-/// every kind into [`SHARD_COUNT`] segment files (with the shard id in
-/// the header) and widened the access-index entries with the shard id.
-/// Files of any other version are treated as empty and recomputed, never
-/// misread.
+/// per-record checksum; version 3 sharded every kind into
+/// [`SHARD_COUNT`] segment files (with the shard id in the header) and
+/// widened the access-index entries with the shard id. Files of any
+/// other version are treated as empty and recomputed, never misread.
+///
+/// A v3 store written while a fifth kind existed (sweep lemmas, tag 4,
+/// `lemmas.*.seg`) stays valid: those files are never opened, and its
+/// tag-4 access-index entries come last (both writers emit entries
+/// kind-major), so parsing stops there with every other stamp kept.
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Shards per kind. A power of two so the shard is a mask of the key's
 /// low bits; 8 is enough that flush-merges over distinct working sets
-/// rarely collide while keeping the per-store file count (5 kinds × 8)
+/// rarely collide while keeping the per-store file count (4 kinds × 8)
 /// trivial.
 pub const SHARD_COUNT: usize = 8;
 
@@ -140,21 +144,11 @@ pub enum Kind {
     /// CEC proof results, keyed by the name-free miter fingerprint
     /// (netlist pair structure + pinned key bits).
     Cec,
-    /// SAT-sweep equality lemmas, keyed by the canonical pair of
-    /// structural cone hashes they equate — the sub-miter cache that
-    /// lets a novel miter over familiar structures start warm.
-    Lemma,
 }
 
 impl Kind {
     /// Every kind, in segment order.
-    pub const ALL: [Kind; 5] = [
-        Kind::Netlist,
-        Kind::LutMap,
-        Kind::Fabric,
-        Kind::Cec,
-        Kind::Lemma,
-    ];
+    pub const ALL: [Kind; 4] = [Kind::Netlist, Kind::LutMap, Kind::Fabric, Kind::Cec];
 
     /// The stem the kind's shard files share (`<stem>.NN.seg`).
     fn file_stem(self) -> &'static str {
@@ -163,7 +157,6 @@ impl Kind {
             Kind::LutMap => "lutmaps",
             Kind::Fabric => "fabrics",
             Kind::Cec => "cec",
-            Kind::Lemma => "lemmas",
         }
     }
 
@@ -180,7 +173,6 @@ impl Kind {
             Kind::LutMap => "lutmap",
             Kind::Fabric => "fabric",
             Kind::Cec => "cec",
-            Kind::Lemma => "lemma",
         }
     }
 
@@ -190,7 +182,6 @@ impl Kind {
             Kind::LutMap => 1,
             Kind::Fabric => 2,
             Kind::Cec => 3,
-            Kind::Lemma => 4,
         }
     }
 
@@ -280,9 +271,9 @@ pub struct ShardStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Per-kind statistics, in [`Kind::ALL`] order.
-    pub kinds: [KindStats; 5],
+    pub kinds: [KindStats; Kind::ALL.len()],
     /// Per-kind, per-shard statistics, in [`Kind::ALL`] × shard order.
-    pub shards: [[ShardStats; SHARD_COUNT]; 5],
+    pub shards: [[ShardStats; SHARD_COUNT]; Kind::ALL.len()],
 }
 
 impl StoreStats {
@@ -303,9 +294,9 @@ impl StoreStats {
         let mut out = String::new();
         out.push_str("shard    records        bytes   tombstones   live%\n");
         for shard in 0..SHARD_COUNT {
-            let records: usize = (0..5).map(|k| self.shards[k][shard].records).sum();
-            let bytes: u64 = (0..5).map(|k| self.shards[k][shard].bytes).sum();
-            let tombstones: usize = (0..5).map(|k| self.shards[k][shard].tombstones).sum();
+            let records: usize = self.shards.iter().map(|k| k[shard].records).sum();
+            let bytes: u64 = self.shards.iter().map(|k| k[shard].bytes).sum();
+            let tombstones: usize = self.shards.iter().map(|k| k[shard].tombstones).sum();
             let live_pct = if records + tombstones == 0 {
                 100.0
             } else {
@@ -384,13 +375,13 @@ pub struct Store {
     /// only multi-shard lock order in the crate is kind-major,
     /// shard-minor (compacting flushes, stats, the access-index
     /// snapshot), so shard locks cannot deadlock.
-    shards: [[Mutex<ShardState>; SHARD_COUNT]; 5],
+    shards: [[Mutex<ShardState>; SHARD_COUNT]; Kind::ALL.len()],
     /// `[kind][shard]` → records changed since the last flush (shard
     /// rewrite needed; access-stamp bumps alone only dirty the sidecar
     /// index). Kept *outside* the shard locks so a flush can skip clean
     /// shards without touching their mutexes — two handles flushing
     /// disjoint shards never contend, even on the skip scan.
-    dirty: [[AtomicBool; SHARD_COUNT]; 5],
+    dirty: [[AtomicBool; SHARD_COUNT]; Kind::ALL.len()],
     /// Logical access clock; starts above every loaded stamp.
     clock: AtomicU64,
     access_dirty: AtomicBool,
@@ -425,7 +416,7 @@ impl Store {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Store> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut states: Vec<Vec<ShardState>> = Vec::with_capacity(5);
+        let mut states: Vec<Vec<ShardState>> = Vec::with_capacity(Kind::ALL.len());
         for kind in Kind::ALL {
             let mut kind_states = Vec::with_capacity(SHARD_COUNT);
             for shard in 0..SHARD_COUNT {
@@ -457,7 +448,7 @@ impl Store {
         }
         let mut kind_iter = states.into_iter();
         let shards = std::array::from_fn(|_| {
-            let mut shard_iter = kind_iter.next().expect("five kinds").into_iter();
+            let mut shard_iter = kind_iter.next().expect("one entry per kind").into_iter();
             std::array::from_fn(|_| Mutex::new(shard_iter.next().expect("shard state")))
         });
         Ok(Store {
@@ -666,7 +657,8 @@ impl Store {
         force_budget: Option<u64>,
         configured: Option<u64>,
     ) -> io::Result<Option<GcReport>> {
-        let mut guards: Vec<MutexGuard<'_, ShardState>> = Vec::with_capacity(5 * SHARD_COUNT);
+        let mut guards: Vec<MutexGuard<'_, ShardState>> =
+            Vec::with_capacity(Kind::ALL.len() * SHARD_COUNT);
         for kind in Kind::ALL {
             for shard in 0..SHARD_COUNT {
                 guards.push(self.shard(kind, shard));
@@ -790,7 +782,8 @@ impl Store {
     ///
     /// Returns an [`io::Error`] when a segment file cannot be removed.
     pub fn clear(&self) -> io::Result<()> {
-        let mut guards: Vec<MutexGuard<'_, ShardState>> = Vec::with_capacity(5 * SHARD_COUNT);
+        let mut guards: Vec<MutexGuard<'_, ShardState>> =
+            Vec::with_capacity(Kind::ALL.len() * SHARD_COUNT);
         for kind in Kind::ALL {
             for shard in 0..SHARD_COUNT {
                 guards.push(self.shard(kind, shard));
@@ -1209,23 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn lemma_records_survive_reopen() {
-        let dir = tmp_dir("lemma");
-        {
-            let s = Store::open(&dir).expect("open");
-            s.put(Kind::Lemma, (11, 22), vec![3; 9]);
-            s.flush().expect("flush");
-        }
-        let s = Store::open(&dir).expect("reopen");
-        assert_eq!(
-            s.get(Kind::Lemma, (11, 22)).map(|b| b.to_vec()),
-            Some(vec![3; 9])
-        );
-        assert!(s.stats().to_string().contains("lemma"));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupted_payload_degrades_to_miss_only_for_that_record() {
         let dir = tmp_dir("corrupt");
         {
@@ -1597,24 +1573,24 @@ mod tests {
         let s = Store::open(&dir).expect("open");
         // Six records spread over six different shards, all on disk.
         for k in 0..6u64 {
-            s.put(Kind::Lemma, (k, k), vec![k as u8; 100]);
+            s.put(Kind::Cec, (k, k), vec![k as u8; 100]);
         }
         s.flush().expect("flush");
         // Warm two of them, then compact to two records: evictions land
         // in four DIFFERENT shard files, and every one must tombstone.
-        s.get(Kind::Lemma, (4, 4)).expect("warm");
-        s.get(Kind::Lemma, (5, 5)).expect("warm");
+        s.get(Kind::Cec, (4, 4)).expect("warm");
+        s.get(Kind::Cec, (5, 5)).expect("warm");
         let per_record = 100 + RECORD_OVERHEAD;
         let report = s.gc(2 * per_record).expect("gc");
         assert_eq!((report.kept, report.dropped), (2, 4));
         drop(s);
         let s = Store::open(&dir).expect("reopen");
         assert_eq!(s.stats().records(), 2);
-        assert!(s.get(Kind::Lemma, (4, 4)).is_some());
-        assert!(s.get(Kind::Lemma, (5, 5)).is_some());
+        assert!(s.get(Kind::Cec, (4, 4)).is_some());
+        assert!(s.get(Kind::Cec, (5, 5)).is_some());
         for k in 0..4u64 {
             assert!(
-                s.get(Kind::Lemma, (k, k)).is_none(),
+                s.get(Kind::Cec, (k, k)).is_none(),
                 "evicted record resurrected from shard {k}"
             );
         }
@@ -1729,7 +1705,7 @@ mod tests {
         s.put(Kind::Netlist, (1, 1), vec![0; 8]);
         let text = s.stats().to_string();
         assert!(text.contains("netlist"));
-        assert!(text.contains("lemma"));
+        assert!(text.contains("cec"));
         assert!(text.contains("total"));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1740,12 +1716,12 @@ mod tests {
         let s = Store::open(&dir).expect("open");
         s.put(Kind::Netlist, (1, 0), vec![0; 8]); // shard 1
         s.put(Kind::Cec, (9, 0), vec![0; 8]); // shard 1
-        s.put(Kind::Lemma, (6, 0), vec![0; 8]); // shard 6
+        s.put(Kind::Fabric, (6, 0), vec![0; 8]); // shard 6
         let stats = s.stats();
         assert_eq!(stats.shards[Kind::Netlist.index()][1].records, 1);
         assert_eq!(stats.shards[Kind::Cec.index()][1].records, 1);
-        assert_eq!(stats.shards[Kind::Lemma.index()][6].records, 1);
-        assert_eq!(stats.shards[Kind::Lemma.index()][0].records, 0);
+        assert_eq!(stats.shards[Kind::Fabric.index()][6].records, 1);
+        assert_eq!(stats.shards[Kind::Fabric.index()][0].records, 0);
         let table = stats.shard_table();
         assert_eq!(
             table.lines().count(),
