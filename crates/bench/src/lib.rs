@@ -1,17 +1,18 @@
-//! Benchmark harness: regenerates every table and figure of the paper's
-//! evaluation section and hosts the Criterion performance benches.
+//! Evaluation binaries: regenerate every table and figure of the paper's
+//! evaluation section. The repository's benchmark is `perfbench/` (see
+//! its README), not this crate.
 //!
 //! Binaries:
 //!
 //! * `suite` — Table 1 **and** Table 2 in one command, running every
-//!   benchmark × {cfg1, cfg2} concurrently via [`run_suite`],
+//!   benchmark × {cfg1, cfg2} concurrently via [`run_suite_with_db`],
 //! * `table1` — benchmark characteristics (paper Table 1),
 //! * `table2` — the full flow under cfg1/cfg2 (paper Table 2),
 //! * `figure4` — GCD floorplans and die areas (paper Figure 4),
 //! * `security` — SAT-attack resilience of selected fabrics (threat-model
-//!   extension; §2.1/\[16\]).
-//!
-//! Benches (Criterion): `flow_phases`, `substrates`, `ablation`.
+//!   extension; §2.1/\[16\]),
+//! * `trace_check` — validates a `--trace` file (CI's trace gate),
+//! * `probe` — per-module synthesis/mapping/fabric statistics.
 
 use alice_benchmarks::Benchmark;
 use alice_core::config::AliceConfig;
@@ -31,23 +32,18 @@ pub fn run_flow(bench: &Benchmark, base: AliceConfig) -> FlowOutcome {
     let design = bench
         .design()
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-    run_flow_on(bench, &design, base)
+    Flow::new(bench.config(base))
+        .run(&design)
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.name))
 }
 
-/// Like [`run_flow`], over an already-loaded design (so callers running
-/// one benchmark under several configurations parse it only once).
+/// Like [`run_flow`], over an already-loaded design and against a shared
+/// [`DesignDb`] so repeated runs (benchmarks × configurations) reuse
+/// characterizations.
 ///
 /// # Panics
 ///
 /// Panics if the flow errors.
-pub fn run_flow_on(bench: &Benchmark, design: &Design, base: AliceConfig) -> FlowOutcome {
-    Flow::new(bench.config(base))
-        .run(design)
-        .unwrap_or_else(|e| panic!("{}: {e}", bench.name))
-}
-
-/// Like [`run_flow_on`], against a shared [`DesignDb`] so repeated runs
-/// (benchmarks × configurations) reuse characterizations.
 pub fn run_flow_on_db(
     bench: &Benchmark,
     design: &Design,
@@ -79,7 +75,13 @@ pub struct SuiteRun {
 }
 
 /// Runs the full evaluation batch — every DAC'22 benchmark × {cfg1, cfg2}
-/// — with up to `jobs` flows in parallel (`0` = all available cores).
+/// — with up to `jobs` flows in parallel (`0` = all available cores),
+/// against a caller-supplied [`DesignDb`] shared by every flow in the
+/// matrix: a module characterized for one benchmark × config cell is
+/// never LUT-mapped or sized again in any other cell. With `verify`, each
+/// redaction is proven equivalent to its original via the `alice-cec`
+/// SAT miter, and `wrong_keys` wrong bitstreams are swept for output
+/// corruptibility.
 ///
 /// Results are grouped per configuration and ordered deterministically
 /// (suite order within each config), independent of `jobs`. Note the
@@ -91,50 +93,11 @@ pub struct SuiteRun {
 ///
 /// Panics if any benchmark fails to load or any flow errors, like
 /// [`run_flow`] (the shipped suite must always run).
-pub fn run_suite(jobs: usize) -> Vec<SuiteRun> {
-    run_suite_verified(jobs, 0, false)
-}
-
-/// Like [`run_suite`], optionally with the post-redaction `verify` stage
-/// enabled on every flow: each redaction is proven equivalent to its
-/// original via the `alice-cec` SAT miter, and `wrong_keys` wrong
-/// bitstreams are swept for output corruptibility.
-///
-/// # Panics
-///
-/// Panics like [`run_suite`].
-pub fn run_suite_verified(jobs: usize, wrong_keys: usize, verify: bool) -> Vec<SuiteRun> {
-    run_suite_with_db(jobs, wrong_keys, verify, Arc::new(DesignDb::new()))
-}
-
-/// Like [`run_suite_verified`], against a caller-supplied [`DesignDb`]
-/// shared by every flow in the matrix — a module characterized for one
-/// benchmark × config cell is never LUT-mapped or sized again in any
-/// other cell. Pass [`DesignDb::new_disabled`] for a no-cache baseline.
 pub fn run_suite_with_db(
     jobs: usize,
     wrong_keys: usize,
     verify: bool,
     db: Arc<DesignDb>,
-) -> Vec<SuiteRun> {
-    run_suite_matrix(jobs, wrong_keys, verify, Some(db))
-}
-
-/// Like [`run_suite_verified`] but with a *private* enabled [`DesignDb`]
-/// per flow — intra-run reuse only, no cross-cell sharing. This is the
-/// honest "cold" baseline `pipeline_bench` measures the shared-db warm
-/// pass against.
-pub fn run_suite_private(jobs: usize, wrong_keys: usize, verify: bool) -> Vec<SuiteRun> {
-    run_suite_matrix(jobs, wrong_keys, verify, None)
-}
-
-/// The matrix driver behind every suite entry point: `db = Some` shares
-/// one database across all cells, `None` gives each flow its own.
-fn run_suite_matrix(
-    jobs: usize,
-    wrong_keys: usize,
-    verify: bool,
-    db: Option<Arc<DesignDb>>,
 ) -> Vec<SuiteRun> {
     let benches = alice_benchmarks::suite();
     let configs = paper_configs();
@@ -158,10 +121,7 @@ fn run_suite_matrix(
             verify_wrong_keys: wrong_keys,
             ..configs[ci].1.clone()
         };
-        match &db {
-            Some(db) => run_flow_on_db(&benches[bi], &designs[bi], base, db.clone()),
-            None => run_flow_on(&benches[bi], &designs[bi], base),
-        }
+        run_flow_on_db(&benches[bi], &designs[bi], base, db.clone())
     });
     configs
         .into_iter()

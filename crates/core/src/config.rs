@@ -23,7 +23,7 @@ pub struct AliceConfig {
     /// Maximum I/O pins of a candidate module / cluster (structural
     /// criterion of Algorithm 1 and 2).
     pub max_io_pins: u32,
-    /// Maximum number of eFPGA instances in a solution.
+    /// Maximum number of eFPGA instances in a solution (at least 1).
     pub max_efpgas: u32,
     /// Weight of the I/O term in Eq. 1.
     pub alpha: f64,
@@ -57,14 +57,9 @@ pub struct AliceConfig {
     /// unlimited (the proof either finishes or runs forever — prefer a
     /// budget on untrusted inputs).
     pub verify_conflict_budget: Option<u64>,
-    /// Use the content-addressed characterization cache (the
-    /// [`DesignDb`](crate::db::DesignDb)). On by default; the `alice`
-    /// CLI's `--no-cache` turns it off for A/B measurements.
-    pub cache: bool,
     /// Directory of the persistent artifact store backing the
     /// [`DesignDb`](crate::db::DesignDb) (the `alice` CLI's `--store`,
-    /// YAML `store:`). `None` keeps caching in-memory only; ignored when
-    /// [`AliceConfig::cache`] is off.
+    /// YAML `store:`). `None` keeps caching in-memory only.
     pub store: Option<std::path::PathBuf>,
     /// Opportunistic-compaction byte budget for the persistent store
     /// (the `alice` CLI's `--store-budget`, YAML `store_budget:`): a
@@ -100,7 +95,6 @@ impl Default for AliceConfig {
             verify: false,
             verify_wrong_keys: 0,
             verify_conflict_budget: Some(5_000_000),
-            cache: true,
             store: None,
             store_budget: None,
             trace: None,
@@ -175,6 +169,9 @@ impl AliceConfig {
         }
         if let Some(v) = y.get("max_efpgas") {
             cfg.max_efpgas = v.as_u32().ok_or_else(|| bad("max_efpgas"))?;
+            if cfg.max_efpgas == 0 {
+                return Err(bad("max_efpgas"));
+            }
         }
         if let Some(v) = y.get("alpha") {
             cfg.alpha = v.as_f64().ok_or_else(|| bad("alpha"))?;
@@ -187,9 +184,6 @@ impl AliceConfig {
         }
         if let Some(v) = y.get("verify") {
             cfg.verify = v.as_bool().ok_or_else(|| bad("verify"))?;
-        }
-        if let Some(v) = y.get("cache") {
-            cfg.cache = v.as_bool().ok_or_else(|| bad("cache"))?;
         }
         if let Some(v) = y.get("store") {
             let dir = v.as_str().ok_or_else(|| bad("store"))?;
@@ -269,14 +263,13 @@ impl AliceConfig {
 }
 
 /// The top-level keys [`AliceConfig::from_yaml`] reads.
-const KEYS: [&str; 17] = [
+const KEYS: [&str; 16] = [
     "max_io_pins",
     "max_efpgas",
     "alpha",
     "beta",
     "jobs",
     "verify",
-    "cache",
     "store",
     "store_budget",
     "trace",
@@ -352,6 +345,15 @@ mod tests {
         assert!(AliceConfig::from_yaml("max_io_pins: lots").is_err());
         assert!(AliceConfig::from_yaml("score_model: whatever").is_err());
         assert!(AliceConfig::from_yaml("jobs: many").is_err());
+        assert!(AliceConfig::from_yaml("max_efpgas: 0").is_err(), "no eFPGA");
+    }
+
+    #[test]
+    fn lone_quote_is_a_scalar_not_a_panic() {
+        let cfg = AliceConfig::from_yaml("top: '").expect("parse");
+        assert_eq!(cfg.top.as_deref(), Some("'"));
+        let err = AliceConfig::from_yaml("fabric:\n  lut_inputs: '").expect_err("not a number");
+        assert!(err.message.contains("`fabric.lut_inputs`"), "{err}");
     }
 
     #[test]
@@ -372,8 +374,13 @@ mod tests {
     fn unknown_keys_are_rejected_by_name() {
         let err = AliceConfig::from_yaml("max_io_pin: 96").expect_err("typo");
         assert!(err.message.contains("unknown key `max_io_pin`"), "{err}");
-        let err = AliceConfig::from_yaml("portfolio: 4").expect_err("removed key");
-        assert!(err.message.contains("unknown key `portfolio`"), "{err}");
+        for (removed, key) in [("portfolio: 4", "portfolio"), ("cache: false", "cache")] {
+            let err = AliceConfig::from_yaml(removed).expect_err("removed key");
+            assert!(
+                err.message.contains(&format!("unknown key `{key}`")),
+                "{err}"
+            );
+        }
         let err = AliceConfig::from_yaml("fabric:\n  lut_input: 6").expect_err("fabric typo");
         assert!(
             err.message.contains("unknown key `fabric.lut_input`"),

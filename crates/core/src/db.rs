@@ -152,7 +152,6 @@ impl Stats {
 /// [`Flow::with_db`]: crate::flow::Flow::with_db
 #[derive(Debug, Default)]
 pub struct DesignDb {
-    disabled: bool,
     store: Option<Arc<Store>>,
     netlists: CacheMap<Key, Result<Arc<Netlist>, AliceError>>,
     lutmaps: CacheMap<(Key, u32), Result<Arc<MappedNetlist>, AliceError>>,
@@ -262,18 +261,9 @@ pub fn module_fingerprint(file: &SourceFile, module: &str) -> Key {
 }
 
 impl DesignDb {
-    /// A fresh, empty, enabled database.
+    /// A fresh, empty database.
     pub fn new() -> DesignDb {
         DesignDb::default()
-    }
-
-    /// A database that never stores or returns anything (the `--no-cache`
-    /// A/B baseline); its counters stay zero.
-    pub fn new_disabled() -> DesignDb {
-        DesignDb {
-            disabled: true,
-            ..DesignDb::default()
-        }
     }
 
     /// A database backed by the persistent [`Store`] at `dir`: misses are
@@ -318,11 +308,6 @@ impl DesignDb {
         }
     }
 
-    /// Whether lookups are live (false only for [`DesignDb::new_disabled`]).
-    pub fn is_enabled(&self) -> bool {
-        !self.disabled
-    }
-
     /// Snapshot of the cumulative hit/miss counters.
     pub fn counts(&self) -> CacheCounts {
         CacheCounts {
@@ -358,9 +343,6 @@ impl DesignDb {
                 .map(Arc::new)
                 .map_err(|e| AliceError::Elaborate(format!("{module}: {e}")))
         };
-        if self.disabled {
-            return run();
-        }
         let key = module_fingerprint(file, module);
         let skey = store_key(Kind::Netlist, &[key.0, key.1]);
         cached(
@@ -415,9 +397,6 @@ impl DesignDb {
                 .map(Arc::new)
                 .map_err(|e| AliceError::Elaborate(format!("{module}: {e}")))
         };
-        if self.disabled {
-            return run();
-        }
         let nh = netlist.structural_hash();
         let key = (nh, k);
         let skey = store_key(Kind::LutMap, &[nh.0, nh.1, u64::from(k)]);
@@ -474,9 +453,6 @@ impl DesignDb {
                 .map(Arc::new)
                 .map_err(|e| e.to_string())
         };
-        if self.disabled {
-            return run();
-        }
         let nh = network.structural_hash();
         let ah = arch_key(arch);
         let key = (nh, ah);
@@ -576,16 +552,6 @@ endmodule
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(a.size, b.size);
         assert_eq!(a.bitstream, b.bitstream);
-    }
-
-    #[test]
-    fn disabled_db_computes_but_never_counts() {
-        let f = parse_source(SRC).expect("parse");
-        let db = DesignDb::new_disabled();
-        assert!(!db.is_enabled());
-        db.map_module(&f, "add8", 4).expect("map");
-        db.map_module(&f, "add8", 4).expect("map");
-        assert_eq!(db.counts(), CacheCounts::default());
     }
 
     #[test]

@@ -215,25 +215,20 @@ pub struct Flow {
 
 impl Flow {
     /// Creates a flow with the given configuration and a private
-    /// [`DesignDb`] (disabled when [`AliceConfig::cache`] is off). With
-    /// [`AliceConfig::store`] set, the db is backed by the persistent
-    /// store at that directory, so a later process starts warm; an
-    /// unopenable store directory degrades to a plain in-memory db (the
-    /// flow itself must never fail on cache problems).
+    /// [`DesignDb`]. With [`AliceConfig::store`] set, the db is backed by
+    /// the persistent store at that directory, so a later process starts
+    /// warm; an unopenable store directory degrades to a plain in-memory
+    /// db (the flow itself must never fail on cache problems).
     pub fn new(cfg: AliceConfig) -> Self {
-        let db = Arc::new(if !cfg.cache {
-            DesignDb::new_disabled()
-        } else {
-            match &cfg.store {
-                Some(dir) => DesignDb::with_store(dir).unwrap_or_else(|e| {
-                    eprintln!(
-                        "alice: warning: cannot open store {}: {e}; caching in memory only",
-                        dir.display()
-                    );
-                    DesignDb::new()
-                }),
-                None => DesignDb::new(),
-            }
+        let db = Arc::new(match &cfg.store {
+            Some(dir) => DesignDb::with_store(dir).unwrap_or_else(|e| {
+                eprintln!(
+                    "alice: warning: cannot open store {}: {e}; caching in memory only",
+                    dir.display()
+                );
+                DesignDb::new()
+            }),
+            None => DesignDb::new(),
         });
         if let Some(store) = db.store() {
             // Opportunistic compaction: flushes past 2x the configured
@@ -247,16 +242,10 @@ impl Flow {
     /// characterizations are reused across runs (the `suite` binary
     /// shares one db over its whole benchmarks × configs matrix).
     ///
-    /// [`AliceConfig::cache`] still wins: with `cache: false` the shared
-    /// db is set aside and a disabled one is used, so a no-cache config
-    /// means no cache on every construction path.
     /// [`AliceConfig::store`] is ignored here — the caller's db (store-
     /// backed or not) is authoritative; open the store on the shared db
     /// itself ([`DesignDb::with_store`]) to persist a shared matrix.
     pub fn with_db(cfg: AliceConfig, db: Arc<DesignDb>) -> Self {
-        if !cfg.cache {
-            return Flow::new(cfg);
-        }
         Flow { cfg, db }
     }
 

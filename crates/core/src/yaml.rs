@@ -188,8 +188,8 @@ fn parse_block(
 
 fn unquote(s: &str) -> String {
     let s = s.trim();
-    if s.len() >= 2 && (s.starts_with('"') && s.ends_with('"'))
-        || (s.starts_with('\'') && s.ends_with('\''))
+    if s.len() >= 2
+        && ((s.starts_with('"') && s.ends_with('"')) || (s.starts_with('\'') && s.ends_with('\'')))
     {
         s[1..s.len() - 1].to_string()
     } else {
@@ -232,6 +232,12 @@ selected_outputs:
     fn quoted_scalars_are_unquoted() {
         let y = Yaml::parse("name: \"top module\"").expect("parse");
         assert_eq!(y.get("name").and_then(Yaml::as_str), Some("top module"));
+        // A lone quote opens no string: it is the one-character scalar.
+        let y = Yaml::parse("a: '\nb:\n  - '\nc: \"").expect("parse");
+        assert_eq!(y.get("a").and_then(Yaml::as_str), Some("'"));
+        let list = y.get("b").and_then(Yaml::as_list).expect("list");
+        assert_eq!(list[0].as_str(), Some("'"));
+        assert_eq!(y.get("c").and_then(Yaml::as_str), Some("\""));
     }
 
     #[test]

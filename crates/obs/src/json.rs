@@ -1,5 +1,5 @@
-//! Minimal JSON parser for trace validation and the bench gate
-//! (`bench_diff`).
+//! Minimal JSON parser for trace validation
+//! ([`validate_chrome_trace`](crate::validate_chrome_trace)).
 //!
 //! The offline crate set has no serde, so — like the YAML subset in
 //! `alice-core` — this is a small hand-rolled recursive-descent parser.

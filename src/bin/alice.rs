@@ -5,7 +5,7 @@
 //! ```text
 //! alice <design.v> [--config flow.yaml] [--top NAME] [--out DIR]
 //!       [--cfg1 | --cfg2] [--jobs N] [--report]
-//!       [--verify] [--wrong-keys N] [--no-cache]
+//!       [--verify] [--wrong-keys N]
 //!       [--store DIR] [--store-budget BYTES]
 //!       [--trace FILE] [--metrics FILE]
 //! alice store stats <DIR>
@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: alice <design.v> [--config flow.yaml] [--top NAME] \
                      [--out DIR] [--cfg1 | --cfg2] [--jobs N] [--report] \
-                     [--verify] [--wrong-keys N] [--no-cache] \
+                     [--verify] [--wrong-keys N] \
                      [--store DIR] [--store-budget BYTES] \
                      [--trace FILE] [--metrics FILE]\n\
                      \x20      alice store <stats|gc|clear> <DIR> [--budget BYTES]";
@@ -47,7 +47,6 @@ struct Args {
     report_only: bool,
     verify: bool,
     wrong_keys: Option<usize>,
-    no_cache: bool,
     store: Option<PathBuf>,
     store_budget: Option<u64>,
     trace: Option<PathBuf>,
@@ -143,7 +142,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Command>, Str
         report_only: false,
         verify: false,
         wrong_keys: None,
-        no_cache: false,
         store: None,
         store_budget: None,
         trace: None,
@@ -191,7 +189,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Command>, Str
                 args.verify = true; // the sweep implies verification
             }
             "--verify" => args.verify = true,
-            "--no-cache" => args.no_cache = true,
             "--cfg1" => args.preset = Some("cfg1"),
             "--cfg2" => args.preset = Some("cfg2"),
             "--report" => args.report_only = true,
@@ -324,10 +321,6 @@ fn run_flow(
     }
     if let Some(n) = args.wrong_keys {
         cfg.verify_wrong_keys = n;
-    }
-    if args.no_cache {
-        // A/B baseline: run every characterization from scratch.
-        cfg.cache = false;
     }
     if let Some(dir) = &args.store {
         // The command line wins over the config file for the store too.
@@ -513,14 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn no_cache_parses() {
-        let a = parse(&["d.v", "--no-cache"]).expect("ok").expect("args");
-        assert!(a.no_cache);
-        let a = parse(&["d.v"]).expect("ok").expect("args");
-        assert!(!a.no_cache, "cache is on by default");
-    }
-
-    #[test]
     fn store_flag_parses() {
         let a = parse(&["d.v", "--store", "cache-dir"])
             .expect("ok")
@@ -595,7 +580,9 @@ mod tests {
     fn missing_values_and_unknown_flags_name_the_flag() {
         let err = parse(&["d.v", "--wrong-keys"]).expect_err("must reject");
         assert!(err.contains("--wrong-keys"), "{err}");
-        let err = parse(&["d.v", "--frobnicate"]).expect_err("must reject");
-        assert!(err.contains("--frobnicate"), "{err}");
+        for unknown in ["--frobnicate", "--no-cache"] {
+            let err = parse(&["d.v", unknown]).expect_err("must reject");
+            assert!(err.contains(&format!("unknown flag `{unknown}`")), "{err}");
+        }
     }
 }

@@ -34,7 +34,7 @@ fn attack_recovers_identical_keys() {
     let mut compared = 0;
     for b in [benchmarks::gcd::benchmark(), benchmarks::des3::benchmark()] {
         let d = b.design().expect("load");
-        // cfg1 where it redacts, cfg2 otherwise — same probe as cec_bench.
+        // cfg1 where it redacts, cfg2 otherwise.
         let probe = Flow::new(b.config(AliceConfig::cfg1()))
             .run(&d)
             .expect("flow");
