@@ -4,10 +4,9 @@
 //!
 //! Binaries:
 //!
-//! * `suite` — Table 1 **and** Table 2 in one command, running every
+//! * `suite` — Table 1 (benchmark characteristics) **and** Table 2 (the
+//!   full flow under cfg1/cfg2) in one command, running every
 //!   benchmark × {cfg1, cfg2} concurrently via [`run_suite_with_db`],
-//! * `table1` — benchmark characteristics (paper Table 1),
-//! * `table2` — the full flow under cfg1/cfg2 (paper Table 2),
 //! * `figure4` — GCD floorplans and die areas (paper Figure 4),
 //! * `security` — SAT-attack resilience of selected fabrics (threat-model
 //!   extension; §2.1/\[16\]),

@@ -3,7 +3,8 @@
 //! characterization caches. Lookups decode straight out of the
 //! checksum-verified buffer [`Store::get`](alice_store::Store::get)
 //! returns (the `Reader` borrows it, no further copy), and writes land
-//! in per-key shards so concurrent sweeps flush without contending.
+//! in the store's `cec` segment, whose flush merges in what concurrent
+//! writers committed.
 //!
 //! The verify stage and wrong-key sweeps repeatedly pose the *same*
 //! equivalence queries across suite re-runs and CLI invocations: the

@@ -33,16 +33,16 @@
 //! process* over the same store directory serves them as **disk hits**
 //! instead of recomputing — the keys are content-addressed, so nothing
 //! about the original process needs to survive. Opening a store only
-//! indexes the sharded segments (offsets, not payloads); each record's
-//! bytes are read and checksum-verified on first access, then shared as
-//! an `Arc<Vec<u8>>` that the decoders borrow, so anything corrupt,
-//! truncated, or written by a different format version silently
-//! degrades to a recompute.
-//! Writes land in per-key shards with per-shard locks, so concurrent
-//! dbs over one directory flush without contending on a whole-kind
-//! segment. Beyond the three oracles above, the store
-//! also carries the CEC proof cache (see `alice_cec::cache`), handed to
-//! the verify stage via [`DesignDb::store`].
+//! indexes its segments, one file per artifact kind (offsets, not
+//! payloads); each record's bytes are read and checksum-verified on
+//! first access, then shared as an `Arc<Vec<u8>>` that the decoders
+//! borrow, so anything corrupt, truncated, or written by a different
+//! format version silently degrades to a recompute. Each kind has its
+//! own lock, and a flush merges in what other dbs over the same
+//! directory committed, so concurrent dbs keep each other's records.
+//! Beyond the three oracles above, the store also carries the CEC proof
+//! cache (see `alice_cec::cache`), handed to the verify stage via
+//! [`DesignDb::store`].
 
 use crate::error::AliceError;
 use alice_fabric::{create_efpga, EfpgaImpl, FabricArch};
@@ -651,16 +651,14 @@ endmodule
             db.map_module(&f, "add8", 4).expect("map");
             db.flush_store().expect("flush");
         }
-        // Flip one payload bit in every shard segment that has content.
+        // Flip one payload bit in every segment that has content.
         for kind in alice_store::Kind::ALL {
-            for shard in 0..alice_store::SHARD_COUNT {
-                let path = dir.join(kind.shard_file_name(shard));
-                if let Ok(mut bytes) = std::fs::read(&path) {
-                    if bytes.len() > 41 {
-                        let mid = 14 + 20 + (bytes.len() - 14 - 36) / 2;
-                        bytes[mid] ^= 0x08;
-                        std::fs::write(&path, &bytes).expect("rewrite");
-                    }
+            let path = dir.join(kind.file_name());
+            if let Ok(mut bytes) = std::fs::read(&path) {
+                if bytes.len() > 41 {
+                    let mid = 13 + 20 + (bytes.len() - 13 - 36) / 2;
+                    bytes[mid] ^= 0x08;
+                    std::fs::write(&path, &bytes).expect("rewrite");
                 }
             }
         }

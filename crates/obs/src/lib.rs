@@ -73,7 +73,7 @@ pub use validate::{validate_chrome_trace, TraceSummary};
 /// ```
 /// # use alice_obs::span;
 /// span!("stage.select");
-/// span!("store.flush.shard", "shard {}", 3);
+/// span!("store.flush.shard", "netlists.v{}.seg", 4);
 /// ```
 #[macro_export]
 macro_rules! span {

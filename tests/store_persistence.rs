@@ -10,22 +10,17 @@ use alice_redaction::core::config::AliceConfig;
 use alice_redaction::core::db::{CacheCounts, DesignDb};
 use alice_redaction::core::design::Design;
 use alice_redaction::core::flow::{Flow, FlowOutcome};
-use alice_redaction::store::{Kind, FORMAT_VERSION, MAGIC, SHARD_COUNT};
+use alice_redaction::store::{Kind, FORMAT_VERSION};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Every shard segment file of every kind currently present in `dir`.
-fn shard_files(dir: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    for kind in Kind::ALL {
-        for shard in 0..SHARD_COUNT {
-            let path = dir.join(kind.shard_file_name(shard));
-            if path.exists() {
-                out.push(path);
-            }
-        }
-    }
-    out
+/// The segment file of every kind currently present in `dir`.
+fn segment_files(dir: &Path) -> Vec<PathBuf> {
+    Kind::ALL
+        .iter()
+        .map(|kind| dir.join(kind.file_name()))
+        .filter(|path| path.exists())
+        .collect()
 }
 
 fn store_dir(tag: &str) -> PathBuf {
@@ -100,9 +95,9 @@ fn bit_flipped_store_still_yields_byte_identical_output() {
     let design = gcd_design();
     let (cold, _) = run_store_backed(&dir, &design);
 
-    // Flip one bit somewhere in the middle of every shard segment file.
+    // Flip one bit somewhere in the middle of every segment file.
     let mut flipped_any = false;
-    for path in shard_files(&dir) {
+    for path in segment_files(&dir) {
         if let Ok(mut bytes) = std::fs::read(&path) {
             if bytes.len() > 64 {
                 let mid = bytes.len() / 2;
@@ -160,9 +155,8 @@ fn version_bump_invalidates_the_whole_store() {
     let design = gcd_design();
     let (cold, cold_window) = run_store_backed(&dir, &design);
 
-    // Pretend every shard segment was written by a future format
-    // version.
-    for path in shard_files(&dir) {
+    // Pretend every segment was written by a future format version.
+    for path in segment_files(&dir) {
         if let Ok(mut bytes) = std::fs::read(&path) {
             if bytes.len() >= 12 {
                 bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
@@ -182,48 +176,19 @@ fn v2_store_is_recomputed_like_a_version_bump() {
     let (cold, cold_window) = run_store_backed(&dir, &design);
     assert!(cold_window.misses > 0);
 
-    // Rewind the on-disk layout to the v2 single-segment format:
-    // concatenate every shard's record frames (the frame format did not
-    // change) into one `<stem>.seg` file per kind under a version-2
-    // header, then delete the shard files.
-    let frames = |bytes: &[u8]| {
-        let mut out: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut pos = 14; // v3 header: magic(8) + version(4) + kind + shard
-        while bytes.len().saturating_sub(pos) >= 36 {
-            let len = u32::from_le_bytes(bytes[pos + 16..pos + 20].try_into().expect("4")) as usize;
-            if bytes.len() - pos - 20 < len + 16 {
-                break;
-            }
-            out.push(pos..pos + 20 + len + 16);
-            pos += 20 + len + 16;
-        }
-        out
-    };
+    // Rewind the on-disk layout to v2: its `magic · version · kind`
+    // header and its record frames are the current ones, so each kind's
+    // segment becomes its v2 file by the version field and the
+    // `<stem>.seg` name.
     let mut legacy_files: Vec<(PathBuf, Vec<u8>)> = Vec::new();
-    for kind in Kind::ALL {
-        let mut legacy: Option<Vec<u8>> = None;
-        for shard in 0..SHARD_COUNT {
-            let path = dir.join(kind.shard_file_name(shard));
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            let legacy = legacy.get_or_insert_with(|| {
-                let mut head = Vec::new();
-                head.extend_from_slice(&MAGIC);
-                head.extend_from_slice(&2u32.to_le_bytes());
-                head.push(bytes[12]); // the kind tag, from the v3 header
-                head
-            });
-            for range in frames(&bytes) {
-                legacy.extend_from_slice(&bytes[range]);
-            }
-            std::fs::remove_file(&path).expect("remove shard");
-        }
-        if let Some(legacy) = legacy {
-            let path = dir.join(kind.shard_file_name(0).replace(".00.seg", ".seg"));
-            std::fs::write(&path, &legacy).expect("write legacy");
-            legacy_files.push((path, legacy));
-        }
+    for path in segment_files(&dir) {
+        let mut bytes = std::fs::read(&path).expect("read segment");
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::remove_file(&path).expect("remove segment");
+        let name = path.file_name().expect("name").to_string_lossy();
+        let legacy = dir.join(name.replace(&format!(".v{FORMAT_VERSION}"), ""));
+        std::fs::write(&legacy, &bytes).expect("write legacy");
+        legacy_files.push((legacy, bytes));
     }
     assert!(
         !legacy_files.is_empty(),
