@@ -16,8 +16,9 @@
 //! `key(16) · payload_len(4) · payload · checksum(16)`, where the
 //! checksum is a [`StableHasher`] digest of the **key and payload** (so
 //! a key bit-flip cannot re-home a valid payload under the wrong content
-//! address). Writers of different kinds never contend on a `put`, `get`
-//! or flush, and a flush rewrites only the kinds that changed.
+//! address). A `put` or `get` locks only its kind, so they never contend
+//! across kinds; a flush locks every kind and rewrites only the kinds
+//! that changed.
 //!
 //! **Opens are lazy, reads are checked once.** [`Store::open`] scans
 //! only the record framing, building an offset index
@@ -324,9 +325,9 @@ pub struct ReadStats {
 }
 
 /// The persistent artifact store. Thread-safe: share it in an `Arc` and
-/// call from any thread — locking is **per kind**, so operations on
-/// different kinds (and flushes of different kinds) run concurrently.
-/// Dropping the store flushes pending writes (best-effort); call
+/// call from any thread — a put or get locks only its **kind**, so
+/// operations on different kinds run concurrently; a flush locks every
+/// kind. Dropping the store flushes pending writes (best-effort); call
 /// [`Store::flush`] for a checked commit.
 #[derive(Debug)]
 pub struct Store {
@@ -518,15 +519,14 @@ impl Store {
     /// this handle's records win on key conflicts, deliberately-evicted
     /// keys stay gone), then rewritten to a tempfile and atomically
     /// renamed over the old one — **only the kinds that changed are
-    /// rewritten**, one kind's lock at a time, so a flush never blocks
-    /// puts or gets of other kinds. Two simultaneous processes over one
-    /// store directory therefore both contribute their records — the
-    /// last flush unions instead of overwriting.
+    /// rewritten**. Two simultaneous processes over one store directory
+    /// therefore both contribute their records — the last flush unions
+    /// instead of overwriting. A flush holds every kind's lock until it
+    /// has committed, so puts and gets wait for it.
     ///
-    /// With a compaction budget set ([`Store::set_compact_budget`]), a
-    /// flush that finds the merged store above 2× the budget LRU-compacts
-    /// it down to the budget before committing (that path locks every
-    /// kind, since eviction is a whole-store decision).
+    /// With a compaction budget set ([`Store::set_compact_budget`]), every
+    /// kind is merged, and a flush that finds the merged store above 2×
+    /// the budget LRU-compacts it down to the budget before committing.
     ///
     /// # Errors
     ///
@@ -537,31 +537,22 @@ impl Store {
     }
 
     /// The engine behind [`Store::flush`] and [`Store::gc`]:
-    /// merge → (maybe) evict → commit. `force_budget` compacts
-    /// unconditionally (gc); otherwise the configured
-    /// [`Store::set_compact_budget`] applies with its 2× trigger.
+    /// merge → (maybe) evict → commit, under every kind's lock.
+    /// `force_budget` compacts unconditionally (gc); otherwise the
+    /// configured [`Store::set_compact_budget`] applies with its 2×
+    /// trigger.
     fn flush_impl(&self, force_budget: Option<u64>) -> io::Result<Option<GcReport>> {
         let _span = alice_obs::span("store.flush");
         let configured = *self.compact_budget.lock().expect("budget lock");
-        if force_budget.is_none() && configured.is_none() {
-            // No compaction can run: each changed kind is merged and
-            // rewritten under its own lock only.
-            for kind in Kind::ALL {
-                let mut seg = self.segment(kind);
-                if seg.dirty {
-                    self.merge(kind, &mut seg);
-                    self.rewrite(kind, &mut seg)?;
-                }
-            }
-            self.commit_access_if_dirty(&self.lock_all())?;
-            return Ok(None);
-        }
-        // A compaction may evict from — and therefore rewrite — any
-        // kind, so it sees the whole merged store (records of other
-        // writers included) under every lock.
+        // A compaction may evict from — and therefore rewrite — any kind,
+        // so it sees the whole merged store, records of other writers
+        // included.
+        let compacting = force_budget.is_some() || configured.is_some();
         let mut segs = self.lock_all();
         for (kind, seg) in Kind::ALL.into_iter().zip(&mut segs) {
-            self.merge(kind, seg);
+            if seg.dirty || compacting {
+                self.merge(kind, seg);
+            }
         }
         let mut report = None;
         if let Some(budget) = force_budget {

@@ -33,14 +33,58 @@ pub fn parse_source(src: &str) -> Result<SourceFile, ParseError> {
     .source_file()
 }
 
-/// How deeply expressions and statements may nest: every expression,
-/// statement, parenthesis, concatenation, index, unary operator, `begin`
-/// or `if` opens one level. Deeper input is rejected with
+/// How deeply expressions and statements may nest: each expression or
+/// statement inside another opens one level (a parenthesis,
+/// concatenation, index, unary operator, `begin` block, or branch of an
+/// `if` or `case`), while the operands of a run of binary operators, the
+/// arms of an `else if` chain and the else-operands of a `?:` chain stay
+/// on one level. Deeper input is rejected with
 /// [`ParseErrorKind::Unsupported`] instead of overflowing the stack. A
-/// debug build overflows a 2 MiB thread at about 100 nested parentheses
-/// (the costliest level), so the deepest accepted input fits there with
-/// a third to spare; the shipped benchmarks nest at most 19 levels.
-const MAX_NESTING: usize = 64;
+/// debug build overflows a 2 MiB thread at about 310 nested
+/// concatenations (the costliest level), so the deepest accepted input
+/// fits there with a third to spare.
+const MAX_NESTING: usize = 200;
+
+/// Unary operators, tried in this order.
+const UNARY_OPS: [(&str, UnaryOp); 9] = [
+    ("~&", UnaryOp::RedNand),
+    ("~|", UnaryOp::RedNor),
+    ("~^", UnaryOp::RedXnor),
+    ("~", UnaryOp::Not),
+    ("!", UnaryOp::LogicNot),
+    ("-", UnaryOp::Neg),
+    ("&", UnaryOp::RedAnd),
+    ("|", UnaryOp::RedOr),
+    ("^", UnaryOp::RedXor),
+];
+
+/// Binary operators by level, loosest-binding first; each level is
+/// left-associative.
+const BINARY_LEVELS: [&[(&str, BinaryOp)]; 10] = [
+    &[("||", BinaryOp::LogicOr)],
+    &[("&&", BinaryOp::LogicAnd)],
+    &[("|", BinaryOp::Or)],
+    &[
+        ("^", BinaryOp::Xor),
+        ("~^", BinaryOp::Xnor),
+        ("^~", BinaryOp::Xnor),
+    ],
+    &[("&", BinaryOp::And)],
+    &[("==", BinaryOp::Eq), ("!=", BinaryOp::Ne)],
+    &[
+        ("<=", BinaryOp::Le),
+        (">=", BinaryOp::Ge),
+        ("<", BinaryOp::Lt),
+        (">", BinaryOp::Gt),
+    ],
+    &[("<<", BinaryOp::Shl), (">>", BinaryOp::Shr)],
+    &[("+", BinaryOp::Add), ("-", BinaryOp::Sub)],
+    &[
+        ("*", BinaryOp::Mul),
+        ("/", BinaryOp::Div),
+        ("%", BinaryOp::Mod),
+    ],
+];
 
 struct Parser {
     tokens: Vec<Token>,
@@ -403,65 +447,98 @@ impl Parser {
 
     fn stmt_body(&mut self) -> Result<Stmt, ParseError> {
         if self.eat_kw(Keyword::Begin) {
-            // optional label
-            if self.eat_punct(":") {
-                let _ = self.expect_ident()?;
-            }
-            let mut stmts = Vec::new();
-            while !self.eat_kw(Keyword::End) {
-                if matches!(self.peek(), TokenKind::Eof) {
-                    return self.err("`end`");
-                }
-                stmts.push(self.stmt()?);
-            }
-            return Ok(Stmt::Block(stmts));
+            return self.block();
         }
         if self.eat_kw(Keyword::If) {
+            return self.if_chain();
+        }
+        if self.eat_kw(Keyword::Case) || self.eat_kw(Keyword::Casez) {
+            return self.case_stmt();
+        }
+        self.assignment()
+    }
+
+    /// The statements of a `begin … end` block, after `begin`.
+    fn block(&mut self) -> Result<Stmt, ParseError> {
+        // optional label
+        if self.eat_punct(":") {
+            let _ = self.expect_ident()?;
+        }
+        let mut stmts = Vec::new();
+        while !self.eat_kw(Keyword::End) {
+            if matches!(self.peek(), TokenKind::Eof) {
+                return self.err("`end`");
+            }
+            stmts.push(self.stmt()?);
+        }
+        Ok(Stmt::Block(stmts))
+    }
+
+    /// `(c) s`, then any `else if (c) s` arms and a final `else s`, after
+    /// the first `if`. The chain is flat in the source, so its arms are
+    /// read in a loop and folded from the back into nested [`Stmt::If`]s:
+    /// only the branches' own statements nest.
+    fn if_chain(&mut self) -> Result<Stmt, ParseError> {
+        let mut arms = Vec::new();
+        let mut else_stmt = None;
+        loop {
             self.expect_punct("(")?;
             let cond = self.expr()?;
             self.expect_punct(")")?;
-            let then_stmt = Box::new(self.stmt()?);
-            let else_stmt = if self.eat_kw(Keyword::Else) {
-                Some(Box::new(self.stmt()?))
-            } else {
-                None
-            };
-            return Ok(Stmt::If {
+            arms.push((cond, Box::new(self.stmt()?)));
+            if !self.eat_kw(Keyword::Else) {
+                break;
+            }
+            if !self.eat_kw(Keyword::If) {
+                else_stmt = Some(Box::new(self.stmt()?));
+                break;
+            }
+        }
+        let (cond, then_stmt) = arms.pop().expect("an `if` has one arm");
+        let last = Stmt::If {
+            cond,
+            then_stmt,
+            else_stmt,
+        };
+        Ok(arms
+            .into_iter()
+            .rfold(last, |else_stmt, (cond, then_stmt)| Stmt::If {
                 cond,
                 then_stmt,
-                else_stmt,
-            });
-        }
-        if self.eat_kw(Keyword::Case) || self.eat_kw(Keyword::Casez) {
-            self.expect_punct("(")?;
-            let expr = self.expr()?;
-            self.expect_punct(")")?;
-            let mut arms = Vec::new();
-            let mut default = None;
-            while !self.eat_kw(Keyword::Endcase) {
-                if matches!(self.peek(), TokenKind::Eof) {
-                    return self.err("`endcase`");
-                }
-                if self.eat_kw(Keyword::Default) {
-                    self.eat_punct(":");
-                    default = Some(Box::new(self.stmt()?));
-                    continue;
-                }
-                let mut labels = vec![self.expr()?];
-                while self.eat_punct(",") {
-                    labels.push(self.expr()?);
-                }
-                self.expect_punct(":")?;
-                let body = self.stmt()?;
-                arms.push(CaseArm { labels, body });
+                else_stmt: Some(Box::new(else_stmt)),
+            }))
+    }
+
+    /// The arms of a `case` or `casez`, after its keyword.
+    fn case_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.expect_punct("(")?;
+        let expr = self.expr()?;
+        self.expect_punct(")")?;
+        let mut arms = Vec::new();
+        let mut default = None;
+        while !self.eat_kw(Keyword::Endcase) {
+            if matches!(self.peek(), TokenKind::Eof) {
+                return self.err("`endcase`");
             }
-            return Ok(Stmt::Case {
-                expr,
-                arms,
-                default,
-            });
+            if self.eat_kw(Keyword::Default) {
+                self.eat_punct(":");
+                default = Some(Box::new(self.stmt()?));
+                continue;
+            }
+            let first = self.expr()?;
+            let labels = self.expr_list(first)?;
+            self.expect_punct(":")?;
+            let body = self.stmt()?;
+            arms.push(CaseArm { labels, body });
         }
-        // assignment
+        Ok(Stmt::Case {
+            expr,
+            arms,
+            default,
+        })
+    }
+
+    fn assignment(&mut self) -> Result<Stmt, ParseError> {
         let lhs = self.lvalue()?;
         if self.eat_punct("<=") {
             let rhs = self.expr()?;
@@ -517,11 +594,8 @@ impl Parser {
         } else if matches!(self.peek(), TokenKind::Punct(")")) {
             PortConns::Ordered(Vec::new())
         } else {
-            let mut exprs = vec![self.expr()?];
-            while self.eat_punct(",") {
-                exprs.push(self.expr()?);
-            }
-            PortConns::Ordered(exprs)
+            let first = self.expr()?;
+            PortConns::Ordered(self.expr_list(first)?)
         };
         self.expect_punct(")")?;
         self.expect_punct(";")?;
@@ -565,119 +639,71 @@ impl Parser {
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.logic_or()?;
+        let cond = self.binary()?;
         if self.eat_punct("?") {
-            let a = self.expr()?;
-            self.expect_punct(":")?;
-            let b = self.expr()?;
-            Ok(Expr::Ternary(Box::new(cond), Box::new(a), Box::new(b)))
+            self.ternary_chain(cond)
         } else {
             Ok(cond)
         }
     }
 
-    fn binary_level<F>(&mut self, next: F, ops: &[(&str, BinaryOp)]) -> Result<Expr, ParseError>
-    where
-        F: Fn(&mut Self) -> Result<Expr, ParseError>,
-    {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for &(p, op) in ops {
-                if matches!(self.peek(), TokenKind::Punct(q) if *q == p) {
-                    self.bump();
-                    let rhs = next(self)?;
-                    lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-                    continue 'outer;
-                }
+    /// `c ? a : c2 ? b : …`, after the first `?`. The chain is flat in
+    /// the source, so its arms are read in a loop and folded from the
+    /// back into nested [`Expr::Ternary`]s: only the then-operands nest.
+    fn ternary_chain(&mut self, cond: Expr) -> Result<Expr, ParseError> {
+        let mut arms = Vec::new();
+        let mut next = cond;
+        loop {
+            let then = self.expr()?;
+            self.expect_punct(":")?;
+            arms.push((next, then));
+            next = self.binary()?;
+            if !self.eat_punct("?") {
+                break;
             }
-            return Ok(lhs);
+        }
+        Ok(arms.into_iter().rfold(next, |else_expr, (cond, then)| {
+            Expr::Ternary(Box::new(cond), Box::new(then), Box::new(else_expr))
+        }))
+    }
+
+    /// Operands joined by binary operators. Each left operand waits on
+    /// `pending` with its operator until an operator that binds no
+    /// tighter arrives, or the run ends: tighter [`BINARY_LEVELS`] group
+    /// first and equal levels group to the left. The explicit stack
+    /// makes a run of operators cost no recursion, whatever their levels.
+    fn binary(&mut self) -> Result<Expr, ParseError> {
+        let mut pending: Vec<(Expr, usize, BinaryOp)> = Vec::new();
+        let mut rhs = self.unary()?;
+        loop {
+            let next = self.binary_op();
+            while let Some((lhs, _, op)) =
+                pending.pop_if(|(_, level, _)| next.is_none_or(|(next, _)| next <= *level))
+            {
+                rhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            }
+            let Some((level, op)) = next else {
+                return Ok(rhs);
+            };
+            self.bump();
+            pending.push((rhs, level, op));
+            rhs = self.unary()?;
         }
     }
 
-    fn logic_or(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Self::logic_and, &[("||", BinaryOp::LogicOr)])
-    }
-
-    fn logic_and(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Self::bit_or, &[("&&", BinaryOp::LogicAnd)])
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Self::bit_xor, &[("|", BinaryOp::Or)])
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::bit_and,
-            &[
-                ("^", BinaryOp::Xor),
-                ("~^", BinaryOp::Xnor),
-                ("^~", BinaryOp::Xnor),
-            ],
-        )
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Self::equality, &[("&", BinaryOp::And)])
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::relational,
-            &[("==", BinaryOp::Eq), ("!=", BinaryOp::Ne)],
-        )
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::shift,
-            &[
-                ("<=", BinaryOp::Le),
-                (">=", BinaryOp::Ge),
-                ("<", BinaryOp::Lt),
-                (">", BinaryOp::Gt),
-            ],
-        )
-    }
-
-    fn shift(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::additive,
-            &[("<<", BinaryOp::Shl), (">>", BinaryOp::Shr)],
-        )
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::multiplicative,
-            &[("+", BinaryOp::Add), ("-", BinaryOp::Sub)],
-        )
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::unary,
-            &[
-                ("*", BinaryOp::Mul),
-                ("/", BinaryOp::Div),
-                ("%", BinaryOp::Mod),
-            ],
-        )
+    /// The binary operator at the cursor, with its [`BINARY_LEVELS`] level.
+    fn binary_op(&self) -> Option<(usize, BinaryOp)> {
+        let TokenKind::Punct(p) = self.peek() else {
+            return None;
+        };
+        BINARY_LEVELS
+            .iter()
+            .enumerate()
+            .find_map(|(level, ops)| ops.iter().find(|(q, _)| q == p).map(|&(_, op)| (level, op)))
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        let ops: &[(&str, UnaryOp)] = &[
-            ("~&", UnaryOp::RedNand),
-            ("~|", UnaryOp::RedNor),
-            ("~^", UnaryOp::RedXnor),
-            ("~", UnaryOp::Not),
-            ("!", UnaryOp::LogicNot),
-            ("-", UnaryOp::Neg),
-            ("&", UnaryOp::RedAnd),
-            ("|", UnaryOp::RedOr),
-            ("^", UnaryOp::RedXor),
-        ];
-        for &(p, op) in ops {
+        for &(p, op) in &UNARY_OPS {
             if matches!(self.peek(), TokenKind::Punct(q) if *q == p) {
                 self.bump();
                 let e = self.nested(Self::unary)?;
@@ -690,20 +716,33 @@ impl Parser {
     fn postfix(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary()?;
         while self.eat_punct("[") {
-            let first = self.expr()?;
-            if self.eat_punct(":") {
-                let lsb = self.expr()?;
-                self.expect_punct("]")?;
-                e = Expr::Part(Box::new(e), Box::new(first), Box::new(lsb));
-            } else {
-                self.expect_punct("]")?;
-                e = Expr::Bit(Box::new(e), Box::new(first));
-            }
+            e = self.select(e)?;
         }
         Ok(e)
     }
 
+    /// `base[index]` or `base[msb:lsb]`, after the `[`.
+    fn select(&mut self, base: Expr) -> Result<Expr, ParseError> {
+        let first = self.expr()?;
+        if self.eat_punct(":") {
+            let lsb = self.expr()?;
+            self.expect_punct("]")?;
+            Ok(Expr::Part(Box::new(base), Box::new(first), Box::new(lsb)))
+        } else {
+            self.expect_punct("]")?;
+            Ok(Expr::Bit(Box::new(base), Box::new(first)))
+        }
+    }
+
     fn primary(&mut self) -> Result<Expr, ParseError> {
+        if self.eat_punct("(") {
+            let e = self.expr()?;
+            self.expect_punct(")")?;
+            return Ok(e);
+        }
+        if self.eat_punct("{") {
+            return self.concat();
+        }
         match self.peek().clone() {
             TokenKind::Ident(s) => {
                 self.bump();
@@ -713,35 +752,34 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Literal(Number { width, value }))
             }
-            TokenKind::Punct("(") => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect_punct(")")?;
-                Ok(e)
-            }
-            TokenKind::Punct("{") => {
-                self.bump();
-                let first = self.expr()?;
-                if self.eat_punct("{") {
-                    // replication {N{expr, ...}}
-                    let mut inner = vec![self.expr()?];
-                    while self.eat_punct(",") {
-                        inner.push(self.expr()?);
-                    }
-                    self.expect_punct("}")?;
-                    self.expect_punct("}")?;
-                    Ok(Expr::Repeat(Box::new(first), inner))
-                } else {
-                    let mut parts = vec![first];
-                    while self.eat_punct(",") {
-                        parts.push(self.expr()?);
-                    }
-                    self.expect_punct("}")?;
-                    Ok(Expr::Concat(parts))
-                }
-            }
             _ => self.err("expression"),
         }
+    }
+
+    /// A concatenation `{a, …}` or replication `{n{a, …}}`, after the
+    /// first `{`.
+    fn concat(&mut self) -> Result<Expr, ParseError> {
+        let first = self.expr()?;
+        let e = if self.eat_punct("{") {
+            // replication {N{expr, ...}}
+            let inner = self.expr()?;
+            let inner = self.expr_list(inner)?;
+            self.expect_punct("}")?;
+            Expr::Repeat(Box::new(first), inner)
+        } else {
+            Expr::Concat(self.expr_list(first)?)
+        };
+        self.expect_punct("}")?;
+        Ok(e)
+    }
+
+    /// `first` and the comma-separated expressions after it.
+    fn expr_list(&mut self, first: Expr) -> Result<Vec<Expr>, ParseError> {
+        let mut list = vec![first];
+        while self.eat_punct(",") {
+            list.push(self.expr()?);
+        }
+        Ok(list)
     }
 }
 
@@ -749,25 +787,30 @@ impl Parser {
 mod tests {
     use super::*;
 
-    /// `n` nested parentheses, concatenations, index expressions, `begin`
-    /// blocks or `if` statements in a module, with the nesting levels the
-    /// module adds around them.
+    /// `n` nested parentheses, concatenations, index expressions,
+    /// parentheses behind every binary operator, `begin` blocks or `if`
+    /// statements in a module, with the nesting levels the module adds
+    /// around them.
     fn nested_source(shape: &str, n: usize) -> (String, usize) {
-        let assign =
-            |e: String| format!("module m(input wire a, output wire y); assign y = {e}; endmodule");
-        let always =
-            |s: String| format!("module m(input wire a, output reg y); always @(*) {s} endmodule");
-        match shape {
-            "(" => (assign(format!("{}a{}", "(".repeat(n), ")".repeat(n))), 1),
-            "{" => (assign(format!("{}a{}", "{".repeat(n), "}".repeat(n))), 1),
-            "[" => (assign(format!("{}a{}", "a[".repeat(n), "]".repeat(n))), 1),
-            "begin" => {
-                let body = format!("{}y = a;{}", "begin ".repeat(n), " end".repeat(n));
-                (always(body), 2)
-            }
-            "if" => (always(format!("{}y = a;", "if (a) ".repeat(n))), 2),
+        let (open, close) = match shape {
+            "op" => ("a || a && a | a ^ a & a == a < a << a + a * (", ")"),
+            "begin" => ("begin ", " end"),
+            "if" => ("if (a) ", ""),
+            "[" => ("a[", "]"),
+            "(" => ("(", ")"),
+            "{" => ("{", "}"),
             _ => unreachable!("unknown shape {shape}"),
+        };
+        let (open, close) = (open.repeat(n), close.repeat(n));
+        if matches!(shape, "begin" | "if") {
+            (module_with(&format!("always @(*) {open}y = a;{close}")), 2)
+        } else {
+            (module_with(&format!("assign y = {open}a{close};")), 1)
         }
+    }
+
+    fn module_with(item: &str) -> String {
+        format!("module m(input wire a, output reg y); {item} endmodule")
     }
 
     #[test]
@@ -775,7 +818,7 @@ mod tests {
         let checked = std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(|| {
-                for shape in ["(", "{", "[", "begin", "if"] {
+                for shape in ["(", "{", "[", "op", "begin", "if"] {
                     let deepest = MAX_NESTING - nested_source(shape, 0).1;
                     let (at_limit, _) = nested_source(shape, deepest);
                     if let Err(e) = parse_source(&at_limit) {
@@ -789,10 +832,63 @@ mod tests {
                         "`{shape}`: {err}"
                     );
                 }
+                // Chains are flat in the source and stay on one level.
+                let arms = 5 * MAX_NESTING;
+                let else_ifs = " else if (a) y = a;".repeat(arms);
+                let else_ifs = module_with(&format!("always @(*) if (a) y = a;{else_ifs}"));
+                if let Err(e) = parse_source(&else_ifs) {
+                    panic!("{arms} `else if` arms must parse: {e}");
+                }
+                let ternaries = "a ? a : ".repeat(arms);
+                if let Err(e) = parse_source(&module_with(&format!("assign y = {ternaries}a;"))) {
+                    panic!("{arms} `?:` arms must parse: {e}");
+                }
             })
             .expect("spawn a 2 MiB thread")
             .join();
         assert!(checked.is_ok(), "every shape checked on a 2 MiB stack");
+    }
+
+    #[test]
+    fn chains_fold_to_the_right_and_operators_group_by_level() {
+        let items = |item: &str| {
+            parse_source(&module_with(item)).expect("parse").modules[0]
+                .items
+                .clone()
+        };
+        let rhs = |e: &str| match &items(&format!("assign y = {e};"))[0] {
+            Item::Assign(a) => a.rhs.clone(),
+            other => panic!("not an assign: {other:?}"),
+        };
+        let id = |s: &str| Box::new(Expr::Id(s.into()));
+        let bin = |op, l, r| Box::new(Expr::Binary(op, l, r));
+        let inner = Box::new(Expr::Ternary(id("c"), id("d"), id("e")));
+        assert_eq!(
+            rhs("a ? b : c ? d : e"),
+            Expr::Ternary(id("a"), id("b"), inner)
+        );
+        let ab = bin(BinaryOp::Sub, id("a"), id("b"));
+        let abcd = bin(BinaryOp::Sub, ab, bin(BinaryOp::Mul, id("c"), id("d")));
+        assert_eq!(rhs("a - b - c * d + e"), *bin(BinaryOp::Add, abcd, id("e")));
+        let chain = items("always @(*) if (a) y = a; else if (a) y = a; else y = a;");
+        let Item::Always(AlwaysBlock {
+            body:
+                Stmt::If {
+                    else_stmt: Some(inner),
+                    ..
+                },
+            ..
+        }) = &chain[0]
+        else {
+            panic!("not an `if`: {chain:?}");
+        };
+        assert!(matches!(
+            **inner,
+            Stmt::If {
+                else_stmt: Some(_),
+                ..
+            }
+        ));
     }
 
     #[test]
