@@ -1,6 +1,7 @@
 //! ALICE flow configuration (the YAML file of Figure 3).
 
 use crate::yaml::{Yaml, YamlError};
+use alice_fabric::emit::LE_INPUTS;
 use alice_fabric::FabricArch;
 use std::fmt;
 
@@ -243,7 +244,10 @@ impl AliceConfig {
         }
         if let Some(f) = y.get("fabric") {
             if let Some(v) = f.get("lut_inputs") {
-                cfg.arch.lut_inputs = v.as_u32().ok_or_else(|| bad("fabric.lut_inputs"))?;
+                cfg.arch.lut_inputs = v
+                    .as_u32()
+                    .filter(|k| (2..=LE_INPUTS).contains(k))
+                    .ok_or_else(|| bad("fabric.lut_inputs"))?;
             }
             if let Some(v) = f.get("les_per_clb") {
                 cfg.arch.les_per_clb = v.as_u32().ok_or_else(|| bad("fabric.les_per_clb"))?;
@@ -253,9 +257,6 @@ impl AliceConfig {
             }
             if let Some(v) = f.get("max_dim") {
                 cfg.arch.max_dim = v.as_u32().ok_or_else(|| bad("fabric.max_dim"))?;
-            }
-            if let Some(v) = f.get("channel_width") {
-                cfg.arch.channel_width = v.as_u32().ok_or_else(|| bad("fabric.channel_width"))?;
             }
         }
         Ok(cfg)
@@ -283,13 +284,7 @@ const KEYS: [&str; 16] = [
 ];
 
 /// The keys of the `fabric:` map.
-const FABRIC_KEYS: [&str; 5] = [
-    "lut_inputs",
-    "les_per_clb",
-    "gpio_per_tile",
-    "max_dim",
-    "channel_width",
-];
+const FABRIC_KEYS: [&str; 4] = ["lut_inputs", "les_per_clb", "gpio_per_tile", "max_dim"];
 
 /// Fails on the first key of `map` outside `known`, naming it with
 /// `prefix` (`fabric.` for the fabric map).
@@ -331,13 +326,13 @@ mod tests {
     #[test]
     fn yaml_overrides_fabric_params() {
         let cfg =
-            AliceConfig::from_yaml("max_io_pins: 128\nfabric:\n  max_dim: 30\n  channel_width: 12")
+            AliceConfig::from_yaml("max_io_pins: 128\nfabric:\n  max_dim: 30\n  lut_inputs: 3")
                 .expect("parse");
         assert_eq!(cfg.max_io_pins, 128);
         assert_eq!(cfg.arch.max_dim, 30);
-        assert_eq!(cfg.arch.channel_width, 12);
+        assert_eq!(cfg.arch.lut_inputs, 3);
         // untouched defaults survive
-        assert_eq!(cfg.arch.lut_inputs, 4);
+        assert_eq!(cfg.arch.les_per_clb, 4);
     }
 
     #[test]
@@ -346,6 +341,13 @@ mod tests {
         assert!(AliceConfig::from_yaml("score_model: whatever").is_err());
         assert!(AliceConfig::from_yaml("jobs: many").is_err());
         assert!(AliceConfig::from_yaml("max_efpgas: 0").is_err(), "no eFPGA");
+        // The emitted logic element has 4 inputs; wider LUTs cannot
+        // configure it, and a 1-input LUT is no LUT.
+        for k in [5, 1] {
+            let err = AliceConfig::from_yaml(&format!("fabric:\n  lut_inputs: {k}"))
+                .expect_err("k outside 2..=4");
+            assert!(err.message.contains("`fabric.lut_inputs`"), "{err}");
+        }
     }
 
     #[test]
@@ -381,11 +383,16 @@ mod tests {
                 "{err}"
             );
         }
-        let err = AliceConfig::from_yaml("fabric:\n  lut_input: 6").expect_err("fabric typo");
-        assert!(
-            err.message.contains("unknown key `fabric.lut_input`"),
-            "{err}"
-        );
+        for (yaml, key) in [
+            ("fabric:\n  lut_input: 6", "fabric.lut_input"),
+            ("fabric:\n  channel_width: 8", "fabric.channel_width"),
+        ] {
+            let err = AliceConfig::from_yaml(yaml).expect_err("unknown fabric key");
+            assert!(
+                err.message.contains(&format!("unknown key `{key}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -400,7 +407,7 @@ mod tests {
         assert_eq!((cfg.max_io_pins, cfg.max_efpgas), (96, 1));
         assert_eq!(cfg.verify_wrong_keys, 4);
         assert_eq!(cfg.selected_outputs, vec!["dout".to_string()]);
-        assert_eq!(cfg.arch.channel_width, 8);
+        assert_eq!(cfg.arch.les_per_clb, 8);
     }
 
     #[test]

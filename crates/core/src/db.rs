@@ -18,13 +18,12 @@
 //! | LUT mapping | elaborated-netlist [structural hash](alice_netlist::ir::Netlist::structural_hash) + LUT input count `k` |
 //! | fabric sizing ([`create_efpga`]) | *name-free* [structural hash](alice_netlist::lutmap::MappedNetlist::structural_hash) of the merged cluster network + the fabric architecture parameters |
 //!
-//! The fabric key deliberately ignores port and register names: packing,
-//! sizing, bitstream generation, and the cost model never read them, so
-//! two clusters that merge to the same shape — say `{sbox0, sbox1}` and
-//! `{sbox2, sbox5}` in DES3 — share one characterization even though
-//! their prefixed port names differ. All caches are thread-safe; the
-//! select stage's sharded workers and concurrent suite flows hit them
-//! freely.
+//! The fabric key deliberately ignores port and register names: packing
+//! and sizing never read them, so two clusters that merge to the same
+//! shape — say `{sbox0, sbox1}` and `{sbox2, sbox5}` in DES3 — share one
+//! characterization even though their prefixed port names differ. All
+//! caches are thread-safe; the select stage's sharded workers and
+//! concurrent suite flows hit them freely.
 //!
 //! # Persistence
 //!
@@ -226,7 +225,6 @@ fn arch_key(arch: &FabricArch) -> Key {
     h.write_u32(arch.les_per_clb);
     h.write_u32(arch.gpio_per_tile);
     h.write_u32(arch.max_dim);
-    h.write_u32(arch.channel_width);
     h.finish()
 }
 
@@ -551,7 +549,7 @@ endmodule
         let after = db.counts();
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(a.size, b.size);
-        assert_eq!(a.bitstream, b.bitstream);
+        assert_eq!(a.packing.clbs, b.packing.clbs);
     }
 
     #[test]
@@ -611,7 +609,7 @@ endmodule
         assert!(c.disk_hits >= 3, "elaborate + map + characterize from disk");
         assert_eq!(m2.structural_hash(), m1.structural_hash());
         assert_eq!(e2.size, e1.size);
-        assert_eq!(e2.bitstream, e1.bitstream);
+        assert_eq!(e2.packing.clbs, e1.packing.clbs);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -343,6 +343,17 @@ endmodule
     }
 
     #[test]
+    fn luts_wider_than_the_logic_element_are_a_map_error() {
+        // The emitted `alice_le` has 4 inputs: a 5-input mapping would
+        // write fabrics the config stream cannot configure.
+        let d = Design::from_source("demo", SRC, None).expect("load");
+        let mut cfg = AliceConfig::cfg1();
+        cfg.arch.lut_inputs = 5;
+        let err = Flow::new(cfg).run(&d).expect_err("k = 5 cannot be emitted");
+        assert!(matches!(err, AliceError::Map(_)), "{err}");
+    }
+
+    #[test]
     fn report_renders_one_line() {
         let d = Design::from_source("demo", SRC, None).expect("load");
         let out = Flow::new(AliceConfig::cfg2()).run(&d).expect("flow");

@@ -22,8 +22,9 @@ use crate::filter::Candidate;
 use crate::select::{sanitize, ClusterMapper, SelectionResult};
 use alice_fabric::emit::{
     cfg_bit_name, config_stream, fabric_netlist, ff_bit_name, le_configs, le_path, le_primitive,
+    LE_INPUTS,
 };
-use alice_fabric::{Bitstream, FabricSize};
+use alice_fabric::FabricSize;
 use alice_intern::{HierPath, PathTree, Symbol};
 use alice_verilog::ast::*;
 use alice_verilog::hierarchy::const_eval;
@@ -39,13 +40,12 @@ pub struct RedactedEfpga {
     pub size: FabricSize,
     /// Redacted instance paths (typed hierarchical paths).
     pub instances: Vec<HierPath>,
-    /// Full fabric bitstream (the secret; includes routing bits).
-    pub bitstream: Bitstream,
-    /// Serial stream for the emitted netlist's config chain.
+    /// The bitstream (the secret): the serial stream for the emitted
+    /// netlist's config chain.
     pub config_stream: Vec<bool>,
     /// Hierarchy path where the fabric was inserted.
     pub insertion_point: HierPath,
-    /// Bitstream/state binding for equivalence checking.
+    /// Configuration/state binding for equivalence checking.
     pub binding: VerifyBinding,
 }
 
@@ -110,7 +110,9 @@ struct PunchPort {
 ///
 /// # Errors
 ///
-/// Returns [`AliceError::NoSolution`] when the selection found nothing.
+/// Returns [`AliceError::Map`] when `cfg.arch.lut_inputs` exceeds
+/// [`LE_INPUTS`], and [`AliceError::NoSolution`] when the selection found
+/// nothing.
 pub fn redact(
     design: &Design,
     r: &[Candidate],
@@ -118,6 +120,12 @@ pub fn redact(
     cfg: &AliceConfig,
     db: &DesignDb,
 ) -> Result<RedactedDesign, AliceError> {
+    if cfg.arch.lut_inputs > LE_INPUTS {
+        return Err(AliceError::Map(format!(
+            "{}-input LUTs do not fit the emitted {LE_INPUTS}-input logic element",
+            cfg.arch.lut_inputs
+        )));
+    }
     let best = selection.best.as_ref().ok_or(AliceError::NoSolution)?;
     let mut file = design.file.clone();
     let mut fabric_verilog = le_primitive();
@@ -197,7 +205,6 @@ pub fn redact(
             module_name: fabric_mod,
             size: chosen.efpga.size,
             instances: members,
-            bitstream: chosen.efpga.bitstream.clone(),
             config_stream: stream,
             insertion_point: lca,
             binding,

@@ -11,7 +11,8 @@ use std::fmt;
 /// Architecture-level parameters of the eFPGA family.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricArch {
-    /// LUT input count (k). The paper fixes k = 4.
+    /// LUT input count (k). The paper fixes k = 4; a redaction needs
+    /// k ≤ [`crate::emit::LE_INPUTS`].
     pub lut_inputs: u32,
     /// Logic elements (LUT+FF pairs) per CLB. The paper fixes 4.
     pub les_per_clb: u32,
@@ -19,8 +20,6 @@ pub struct FabricArch {
     pub gpio_per_tile: u32,
     /// Largest permitted fabric dimension (squares up to `max_dim × max_dim`).
     pub max_dim: u32,
-    /// Routing channel width (tracks) used by the bitstream size model.
-    pub channel_width: u32,
 }
 
 impl Default for FabricArch {
@@ -30,7 +29,6 @@ impl Default for FabricArch {
             les_per_clb: 4,
             gpio_per_tile: 8,
             max_dim: 20,
-            channel_width: 8,
         }
     }
 }
@@ -49,11 +47,6 @@ impl FabricArch {
     /// CLB capacity of a W×H fabric.
     pub fn clb_capacity(&self, width: u32, height: u32) -> u32 {
         width * height
-    }
-
-    /// LUT (logic element) capacity of a W×H fabric.
-    pub fn le_capacity(&self, width: u32, height: u32) -> u32 {
-        self.clb_capacity(width, height) * self.les_per_clb
     }
 }
 
@@ -104,7 +97,6 @@ mod tests {
     fn capacities_scale() {
         let arch = FabricArch::default();
         assert_eq!(arch.clb_capacity(8, 8), 64);
-        assert_eq!(arch.le_capacity(8, 8), 256);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Fabric cost model: silicon area, critical-path delay, and power.
+//! Fabric area model.
 //!
 //! Area is calibrated against the paper's Figure 4 data points for the
 //! NanGate 45nm library: two 4×4 fabrics plus residual GCD logic occupy
@@ -8,33 +8,12 @@
 //! we model as a power law `area = K_TILE · (W·H)^AREA_EXP`; the exponent
 //! reproduces the observed 4×4 → 5×5 ratio.
 
-use crate::arch::{FabricArch, FabricSize};
+use crate::arch::FabricSize;
 
 /// Calibration constant (µm² per CLB^AREA_EXP), fit to Figure 4.
 pub const K_TILE: f64 = 284.5;
 /// Area exponent over CLB count, fit to Figure 4.
 pub const AREA_EXP: f64 = 1.63;
-/// Intrinsic LUT4 delay (ns), 45nm-class.
-pub const LUT_DELAY_NS: f64 = 0.22;
-/// Average inter-CLB routing delay per LUT level (ns).
-pub const ROUTE_DELAY_NS: f64 = 0.35;
-/// Leakage per logic element (µW), 45nm-class.
-pub const LE_LEAKAGE_UW: f64 = 0.9;
-/// Configuration-memory leakage per bit (µW).
-pub const CFG_LEAKAGE_UW: f64 = 0.004;
-/// Dynamic energy per LE toggle (µW per MHz at 20% activity).
-pub const LE_DYN_UW_PER_MHZ: f64 = 0.055;
-
-/// Cost report for one fabric instance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FabricCost {
-    /// Silicon area in µm².
-    pub area_um2: f64,
-    /// Critical-path delay in ns (LUT levels × (LUT + route delay)).
-    pub critical_path_ns: f64,
-    /// Total power at the given clock in µW.
-    pub power_uw: f64,
-}
 
 /// Computes the silicon area of a fabric.
 ///
@@ -51,28 +30,6 @@ pub struct FabricCost {
 /// ```
 pub fn fabric_area_um2(size: FabricSize) -> f64 {
     K_TILE * (size.clbs() as f64).powf(AREA_EXP)
-}
-
-/// Full cost model for a fabric running a design of the given LUT depth
-/// and logic-element usage at `clock_mhz`.
-pub fn fabric_cost(
-    arch: &FabricArch,
-    size: FabricSize,
-    depth: u32,
-    les_used: u32,
-    clock_mhz: f64,
-) -> FabricCost {
-    let area_um2 = fabric_area_um2(size);
-    let critical_path_ns = depth as f64 * (LUT_DELAY_NS + ROUTE_DELAY_NS);
-    let total_les = size.clbs() * arch.les_per_clb;
-    let cfg_bits = crate::bitstream::expected_len(arch, size) as f64;
-    let leakage = total_les as f64 * LE_LEAKAGE_UW + cfg_bits * CFG_LEAKAGE_UW;
-    let dynamic = les_used as f64 * LE_DYN_UW_PER_MHZ * clock_mhz;
-    FabricCost {
-        area_um2,
-        critical_path_ns,
-        power_uw: leakage + dynamic,
-    }
 }
 
 #[cfg(test)]
@@ -103,17 +60,5 @@ mod tests {
             assert!(a > prev);
             prev = a;
         }
-    }
-
-    #[test]
-    fn cost_components_positive() {
-        let arch = FabricArch::default();
-        let c = fabric_cost(&arch, FabricSize::square(4), 5, 40, 100.0);
-        assert!(c.area_um2 > 0.0);
-        assert!(c.critical_path_ns > 0.0);
-        assert!(c.power_uw > 0.0);
-        // Deeper design is slower.
-        let c2 = fabric_cost(&arch, FabricSize::square(4), 10, 40, 100.0);
-        assert!(c2.critical_path_ns > c.critical_path_ns);
     }
 }

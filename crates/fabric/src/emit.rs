@@ -7,14 +7,19 @@
 //! which is exactly the property redaction relies on.
 //!
 //! Simplification vs. OpenFPGA: routing is hardwired in the emitted
-//! netlist (the abstract routing model of [`crate::bitstream`] carries the
-//! bit *count*), so the config chain here holds `2^k + 1` bits per LE.
+//! netlist, so the config chain holds only the logic elements: 17 bits
+//! per used LE (a 4-input truth table plus the FF-bypass flag), whatever
+//! the fabric's size. [`config_stream`] is that chain's contents.
 
 use crate::arch::{FabricArch, FabricSize};
 use crate::pack::Packing;
 use alice_intern::{HierPath, Symbol};
 use alice_netlist::lutmap::{MappedNetlist, MappedSrc};
 use std::fmt::Write;
+
+/// Inputs of the emitted logic element ([`le_primitive`]): the widest
+/// LUT a fabric can be configured with.
+pub const LE_INPUTS: u32 = 4;
 
 /// The configurable logic-element primitive, shared by all fabrics.
 ///
@@ -150,7 +155,7 @@ pub fn fabric_netlist(
         } else if let Some(d) = le.dff {
             ins.push(src_expr(&mapped.dffs[d].d));
         }
-        while ins.len() < 4 {
+        while ins.len() < LE_INPUTS as usize {
             ins.push("1'b0".into());
         }
         // Verilog concat is MSB-first.
@@ -255,9 +260,6 @@ pub fn le_configs(mapped: &MappedNetlist, packing: &Packing) -> Vec<LeConfig> {
 /// FF-bypass flag). Shift the returned bits in order on `cfg_in`, one per
 /// `cfg_clk` cycle with `cfg_en` high; after `stream.len()` cycles every LE
 /// holds its configuration.
-///
-/// This is the functional subset of the full fabric [`crate::bitstream`]
-/// (which also carries routing bits and pads unused LEs).
 pub fn config_stream(mapped: &MappedNetlist, packing: &Packing) -> Vec<bool> {
     let configs = le_configs(mapped, packing);
     let total = configs.len() * 17;

@@ -8,10 +8,10 @@
 //! * [`mod@pack`] — LUT/FF packing into CLBs,
 //! * [`sizing`] — minimal-fabric search ([`create_efpga`], the
 //!   `CreateEFPGA` oracle of Algorithm 3) with I/O and CLB utilization,
-//! * [`bitstream`] — configuration stream generation (the redaction
-//!   secret),
-//! * [`cost`] — area/delay/power model calibrated on Figure 4,
-//! * [`emit`] — structural Verilog fabric netlist with a config chain.
+//! * [`cost`] — area model calibrated on Figure 4,
+//! * [`emit`] — structural Verilog fabric netlist with a config chain,
+//!   and the configuration stream that chain loads (the redaction
+//!   secret).
 //!
 //! # Example
 //!
@@ -24,20 +24,19 @@
 //! let n = alice_netlist::elaborate::elaborate(&f, "mac")?;
 //! let mapped = alice_netlist::lutmap::map_luts(&n, 4)?;
 //! let efpga = alice_fabric::create_efpga(&mapped, &alice_fabric::FabricArch::default())?;
-//! println!("fits a {} fabric, {} config bits", efpga.size, efpga.bitstream.len());
+//! let stream = alice_fabric::emit::config_stream(&mapped, &efpga.packing);
+//! println!("fits a {} fabric, {} config bits", efpga.size, stream.len());
 //! # Ok(())
 //! # }
 //! ```
 
 pub mod arch;
-pub mod bitstream;
 pub mod cost;
 pub mod emit;
 pub mod pack;
 pub mod sizing;
 
 pub use arch::{FabricArch, FabricSize};
-pub use bitstream::Bitstream;
-pub use cost::{fabric_area_um2, fabric_cost, FabricCost};
+pub use cost::fabric_area_um2;
 pub use pack::{pack, Clb, LogicElement, Packing};
 pub use sizing::{create_efpga, EfpgaImpl, FabricError};

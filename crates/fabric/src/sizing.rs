@@ -2,11 +2,10 @@
 //!
 //! Given a mapped cluster, find the smallest square fabric that fits both
 //! its I/O pins and its packed CLBs (OpenFPGA's "most suitable fabric"
-//! search in §7), then generate the bitstream and report utilization.
+//! search in §7) and report its utilization. The configuration stream
+//! follows from the packing ([`crate::emit::config_stream`]).
 
 use crate::arch::{FabricArch, FabricSize};
-use crate::bitstream::{generate, Bitstream};
-use crate::cost::{fabric_cost, FabricCost};
 use crate::pack::{pack, Packing};
 use alice_netlist::lutmap::MappedNetlist;
 use std::fmt;
@@ -18,18 +17,10 @@ pub struct EfpgaImpl {
     pub size: FabricSize,
     /// The packed design.
     pub packing: Packing,
-    /// The configuration bitstream (the redaction secret).
-    pub bitstream: Bitstream,
     /// I/O utilization: used pins / fabric pin capacity (0..=1).
     pub io_util: f64,
     /// CLB utilization: used CLBs / fabric CLB capacity (0..=1).
     pub clb_util: f64,
-    /// Cost report at the default 100 MHz operating point.
-    pub cost: FabricCost,
-    /// LUT depth of the mapped design.
-    pub depth: u32,
-    /// I/O pins used by the cluster.
-    pub io_used: u32,
 }
 
 /// Why a cluster cannot be implemented on any permitted fabric.
@@ -114,21 +105,11 @@ pub fn create_efpga(mapped: &MappedNetlist, arch: &FabricArch) -> Result<EfpgaIm
             max: arch.clb_capacity(max, max),
         });
     };
-    let size = FabricSize::square(dim);
-    let bitstream = generate(mapped, &packing, arch, size);
-    let io_util = io_used as f64 / arch.io_capacity(dim, dim) as f64;
-    let clb_util = clbs_used as f64 / arch.clb_capacity(dim, dim) as f64;
-    let depth = mapped.depth();
-    let cost = fabric_cost(arch, size, depth, packing.le_count as u32, 100.0);
     Ok(EfpgaImpl {
-        size,
+        size: FabricSize::square(dim),
         packing,
-        bitstream,
-        io_util,
-        clb_util,
-        cost,
-        depth,
-        io_used,
+        io_util: io_used as f64 / arch.io_capacity(dim, dim) as f64,
+        clb_util: clbs_used as f64 / arch.clb_capacity(dim, dim) as f64,
     })
 }
 
@@ -191,6 +172,6 @@ mod tests {
         let e = create_efpga(&m, &FabricArch::default()).expect("fits");
         assert!(e.io_util > 0.0 && e.io_util <= 1.0);
         assert!(e.clb_util > 0.0 && e.clb_util <= 1.0);
-        assert!(!e.bitstream.is_empty());
+        assert!(e.packing.le_count > 0);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::codec::{CodecError, Reader, Writer};
 use alice_fabric::pack::{Clb, LogicElement, Packing};
-use alice_fabric::{Bitstream, EfpgaImpl, FabricSize};
+use alice_fabric::{EfpgaImpl, FabricSize};
 use alice_netlist::ir::{Lit, Netlist, Node, NodeId};
 use alice_netlist::lutmap::{Lut, MappedDff, MappedNetlist, MappedSrc};
 
@@ -358,16 +358,8 @@ pub fn write_efpga(w: &mut Writer, e: &EfpgaImpl) {
             opt(w, le.dff);
         }
     }
-    w.put_bits(e.bitstream.as_slice());
-    w.put_usize(e.bitstream.lut_bits());
-    w.put_usize(e.bitstream.routing_bits());
     w.put_f64(e.io_util);
     w.put_f64(e.clb_util);
-    w.put_f64(e.cost.area_um2);
-    w.put_f64(e.cost.critical_path_ns);
-    w.put_f64(e.cost.power_uw);
-    w.put_u32(e.depth);
-    w.put_u32(e.io_used);
 }
 
 /// Deserializes a characterization written by [`write_efpga`].
@@ -393,31 +385,11 @@ pub fn read_efpga(r: &mut Reader<'_>) -> Result<EfpgaImpl, CodecError> {
         })?;
         Ok(Clb { les })
     })?;
-    let bits = r.get_bits()?;
-    let lut_bits = r.get_usize()?;
-    let routing_bits = r.get_usize()?;
-    if lut_bits.checked_add(routing_bits) != Some(bits.len()) {
-        return Err(bad("bitstream split"));
-    }
-    let bitstream = Bitstream::from_parts(bits, lut_bits, routing_bits);
-    let io_util = r.get_f64()?;
-    let clb_util = r.get_f64()?;
-    let cost = alice_fabric::cost::FabricCost {
-        area_um2: r.get_f64()?,
-        critical_path_ns: r.get_f64()?,
-        power_uw: r.get_f64()?,
-    };
-    let depth = r.get_u32()?;
-    let io_used = r.get_u32()?;
     Ok(EfpgaImpl {
         size,
         packing: Packing { clbs, le_count },
-        bitstream,
-        io_util,
-        clb_util,
-        cost,
-        depth,
-        io_used,
+        io_util: r.get_f64()?,
+        clb_util: r.get_f64()?,
     })
 }
 
@@ -491,13 +463,8 @@ endmodule
         assert_eq!(back.size, e.size);
         assert_eq!(back.packing.clbs, e.packing.clbs);
         assert_eq!(back.packing.le_count, e.packing.le_count);
-        assert_eq!(back.bitstream, e.bitstream);
-        assert_eq!(back.bitstream.lut_bits(), e.bitstream.lut_bits());
         assert_eq!(back.io_util, e.io_util);
         assert_eq!(back.clb_util, e.clb_util);
-        assert_eq!(back.cost, e.cost);
-        assert_eq!(back.depth, e.depth);
-        assert_eq!(back.io_used, e.io_used);
     }
 
     #[test]

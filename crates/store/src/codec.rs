@@ -88,24 +88,6 @@ impl Writer {
     pub fn put_symbol(&mut self, s: Symbol) {
         self.put_str(s.as_str());
     }
-
-    /// Appends a bit vector, packed 8 bits per byte.
-    pub fn put_bits(&mut self, bits: &[bool]) {
-        self.put_usize(bits.len());
-        let mut byte = 0u8;
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                self.buf.push(byte);
-                byte = 0;
-            }
-        }
-        if !bits.len().is_multiple_of(8) {
-            self.buf.push(byte);
-        }
-    }
 }
 
 /// Deserializes primitives from a byte slice, tracking its position.
@@ -186,13 +168,6 @@ impl<'a> Reader<'a> {
         Ok(Symbol::intern(self.get_str()?))
     }
 
-    /// Reads a packed bit vector.
-    pub fn get_bits(&mut self) -> Result<Vec<bool>, CodecError> {
-        let len = self.get_usize()?;
-        let bytes = self.take(len.div_ceil(8), "bit vector")?;
-        Ok((0..len).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
-    }
-
     /// Reads a `len`-prefixed sequence via `item`, bounding `len` by the
     /// bytes actually remaining so a corrupted prefix cannot trigger a
     /// huge allocation.
@@ -228,7 +203,6 @@ mod tests {
         w.put_bool(true);
         w.put_str("héllo");
         w.put_symbol(Symbol::intern("top.u0"));
-        w.put_bits(&[true, false, true, true, false, false, false, true, true]);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -238,10 +212,6 @@ mod tests {
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_str().unwrap(), "héllo");
         assert_eq!(r.get_symbol().unwrap(), Symbol::intern("top.u0"));
-        assert_eq!(
-            r.get_bits().unwrap(),
-            vec![true, false, true, true, false, false, false, true, true]
-        );
         assert!(r.is_exhausted());
     }
 

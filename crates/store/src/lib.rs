@@ -9,8 +9,8 @@
 //!
 //! Layout: each artifact kind ([`Kind::Netlist`], [`Kind::LutMap`],
 //! [`Kind::Fabric`], [`Kind::Cec`]) lives in **one segment file** under
-//! the store directory ([`Kind::file_name`]: `netlists.v4.seg`,
-//! `lutmaps.v4.seg`, `fabrics.v4.seg`, `cec.v4.seg`) behind **one lock**.
+//! the store directory ([`Kind::file_name`]: `netlists.v5.seg`,
+//! `lutmaps.v5.seg`, `fabrics.v5.seg`, `cec.v5.seg`) behind **one lock**.
 //! A file opens with a `magic · format-version · kind` header and holds a
 //! flat sequence of records
 //! `key(16) · payload_len(4) · payload · checksum(16)`, where the
@@ -49,8 +49,9 @@
 //! get-time, when the record is first verified. Bumping
 //! [`FORMAT_VERSION`] invalidates every existing store: the store is a
 //! cache, so older layouts (v2's `netlists.seg`, v3's eight
-//! `netlists.NN.seg` shards per kind) are never read, never migrated and
-//! left untouched; their records are recomputed.
+//! `netlists.NN.seg` shards per kind, v4's `netlists.v4.seg`) are never
+//! read, never migrated and left untouched; their records are
+//! recomputed.
 //!
 //! Eviction is explicit: [`Store::gc`] compacts to a byte budget,
 //! dropping least-recently-accessed records first (access stamps live in
@@ -99,9 +100,10 @@ pub const MAGIC: [u8; 8] = *b"ALICSTOR";
 /// per-record checksum; version 3 split every kind over eight shard
 /// files; version 4 keeps one segment file per kind under a
 /// `magic · version · kind` header, with `kind · key · stamp`
-/// access-index entries. Files of any other version are treated as
-/// empty and recomputed, never misread.
-pub const FORMAT_VERSION: u32 = 4;
+/// access-index entries; version 5 keeps that layout and drops the
+/// modeled bitstream and cost fields from fabric records. Files of any
+/// other version are treated as empty and recomputed, never misread.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Fixed per-record framing overhead (key + length + checksum).
 const RECORD_OVERHEAD: u64 = 16 + 4 + 16;
@@ -135,7 +137,7 @@ impl Kind {
     /// Every kind, in segment order.
     pub const ALL: [Kind; 4] = [Kind::Netlist, Kind::LutMap, Kind::Fabric, Kind::Cec];
 
-    /// The kind's segment file name (`netlists.v4.seg` for
+    /// The kind's segment file name (`netlists.v5.seg` for
     /// [`Kind::Netlist`]). The version in the name keeps it apart from
     /// the files of older layouts, which are left alone.
     pub fn file_name(self) -> String {
@@ -1551,10 +1553,11 @@ mod tests {
     fn v2_segment_is_ignored_and_left_untouched() {
         let dir = tmp_dir("v2");
         fs::create_dir_all(&dir).expect("mkdir");
-        // Valid files of both older layouts, with checksummed records in
+        // Valid files of three older layouts, with checksummed records in
         // the unchanged frame format: v2's single segment per kind
-        // (magic, version 2, kind tag) and one of v3's eight shards per
-        // kind (magic, version 3, kind tag, shard byte).
+        // (magic, version 2, kind tag), one of v3's eight shards per
+        // kind (magic, version 3, kind tag, shard byte), and v4's
+        // versioned segment (magic, version 4, kind tag).
         let legacy_file = |version: u32, header_tail: &[u8], keys: &[u64]| {
             let mut bytes = Vec::new();
             bytes.extend_from_slice(&MAGIC);
@@ -1582,17 +1585,23 @@ mod tests {
                 dir.join("netlists.03.seg"),
                 legacy_file(3, &[tag, 3], &[3, 11, 19, 27]),
             ),
+            (
+                dir.join("fabrics.v4.seg"),
+                legacy_file(4, &[Kind::Fabric.tag()], &[4, 5]),
+            ),
         ];
         for (path, bytes) in &legacy {
             fs::write(path, bytes).expect("write legacy segment");
         }
         {
             let s = Store::open(&dir).expect("open");
-            assert_eq!(s.stats().records(), 0, "v2 and v3 records are not read");
+            assert_eq!(s.stats().records(), 0, "v2, v3 and v4 records are not read");
             assert_eq!(s.get(Kind::Netlist, (1, 1)), None);
             assert_eq!(s.get(Kind::Netlist, (3, 3)), None);
+            assert_eq!(s.get(Kind::Fabric, (4, 4)), None);
             // A recompute writes the current layout beside them.
             s.put(Kind::Netlist, (1, 1), vec![1; 48]);
+            s.put(Kind::Fabric, (4, 4), vec![4; 48]);
             s.flush().expect("flush");
         }
         for (path, bytes) in &legacy {
@@ -1604,7 +1613,7 @@ mod tests {
             );
         }
         let s = Store::open(&dir).expect("reopen");
-        assert_eq!(s.stats().records(), 1);
+        assert_eq!(s.stats().records(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

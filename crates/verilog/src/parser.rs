@@ -405,6 +405,14 @@ impl Parser {
 
     fn always_block(&mut self) -> Result<AlwaysBlock, ParseError> {
         self.expect_punct("@")?;
+        // Verilog-2001 `@*` is `@(*)` without the parentheses.
+        if self.eat_punct("*") {
+            let body = self.stmt()?;
+            return Ok(AlwaysBlock {
+                sensitivity: Sensitivity::Comb,
+                body,
+            });
+        }
         self.expect_punct("(")?;
         let sensitivity = if self.eat_punct("*") {
             Sensitivity::Comb
@@ -932,9 +940,11 @@ endmodule
 
     #[test]
     fn parse_case_statement() {
-        let src = r#"
+        let src = |sensitivity: &str| {
+            format!(
+                "
 module c(input wire [1:0] s, output reg [3:0] y);
-  always @(*) begin
+  always {sensitivity} begin
     case (s)
       2'd0: y = 4'b0001;
       2'd1: y = 4'b0010;
@@ -943,8 +953,12 @@ module c(input wire [1:0] s, output reg [3:0] y);
     endcase
   end
 endmodule
-"#;
-        let f = parse_source(src).expect("parse");
+"
+            )
+        };
+        let f = parse_source(&src("@(*)")).expect("parse");
+        let bare = parse_source(&src("@*")).expect("`@*` parses");
+        assert_eq!(bare, f, "`@*` is `@(*)`");
         match &f.modules[0].items[0] {
             Item::Always(ab) => {
                 let inner = match &ab.body {

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             e.size,
             e.instances,
             e.insertion_point,
-            e.bitstream.len()
+            e.config_stream.len()
         );
     }
     println!(

@@ -11,7 +11,8 @@
 //! * [`verilog`] — Verilog subset parser/printer (PyVerilog substitute)
 //! * [`dataflow`] — design graph, output cones, dominator analysis
 //! * [`netlist`] — gate-level IR, elaboration, optimization, LUT mapping
-//! * [`fabric`] — eFPGA architecture, packing, sizing, bitstream
+//! * [`fabric`] — eFPGA architecture, packing, sizing, fabric Verilog and
+//!   its configuration stream (the bitstream)
 //! * [`asic`] — standard-cell cost model and floorplanning
 //! * [`attacks`] — CDCL SAT solver and oracle-guided SAT attack
 //! * [`obs`] — spans, metrics, and trace/metrics exporters (the

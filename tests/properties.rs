@@ -82,17 +82,23 @@ proptest! {
         }
     }
 
-    /// Bitstream length is a function of fabric geometry alone.
+    /// The shipped bitstream (each fabric's `config_stream`) holds 17
+    /// bits per logic element of the chosen fabric's packing: a 16-bit
+    /// truth table plus the FF-bypass flag.
     #[test]
-    fn bitstream_length_matches_model(dim in 1u32..12) {
-        use alice_redaction::fabric::{bitstream, FabricArch, FabricSize};
-        let arch = FabricArch::default();
-        let size = FabricSize::square(dim);
-        let expected = bitstream::expected_len(&arch, size);
-        let empty = alice_redaction::netlist::MappedNetlist::default();
-        let packing = alice_redaction::fabric::Packing::default();
-        let bs = bitstream::generate(&empty, &packing, &arch, size);
-        prop_assert_eq!(bs.len(), expected);
+    fn bitstream_length_matches_model(seed in 0u64..2000) {
+        let src = generate(seed, GeneratorParams { leaves: 5, ..GeneratorParams::default() });
+        let d = Design::from_source("synth", &src, None).expect("load");
+        let out = Flow::new(AliceConfig::cfg1()).run(&d).expect("flow");
+        if let (Some(best), Some(redacted)) = (&out.selection.best, &out.redacted) {
+            prop_assert_eq!(best.efpgas.len(), redacted.efpgas.len());
+            for (&vi, e) in best.efpgas.iter().zip(&redacted.efpgas) {
+                let packing = &out.selection.valid[vi].efpga.packing;
+                let les: usize = packing.clbs.iter().map(|c| c.les.len()).sum();
+                prop_assert_eq!(les, packing.le_count);
+                prop_assert_eq!(e.config_stream.len(), 17 * les);
+            }
+        }
     }
 }
 
