@@ -250,7 +250,10 @@ impl AliceConfig {
                     .ok_or_else(|| bad("fabric.lut_inputs"))?;
             }
             if let Some(v) = f.get("les_per_clb") {
-                cfg.arch.les_per_clb = v.as_u32().ok_or_else(|| bad("fabric.les_per_clb"))?;
+                cfg.arch.les_per_clb = v
+                    .as_u32()
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(|| bad("fabric.les_per_clb"))?;
             }
             if let Some(v) = f.get("gpio_per_tile") {
                 cfg.arch.gpio_per_tile = v.as_u32().ok_or_else(|| bad("fabric.gpio_per_tile"))?;
@@ -348,6 +351,9 @@ mod tests {
                 .expect_err("k outside 2..=4");
             assert!(err.message.contains("`fabric.lut_inputs`"), "{err}");
         }
+        // A CLB holds at least one logic element.
+        let err = AliceConfig::from_yaml("fabric:\n  les_per_clb: 0").expect_err("empty CLB");
+        assert!(err.message.contains("`fabric.les_per_clb`"), "{err}");
     }
 
     #[test]

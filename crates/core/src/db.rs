@@ -1,11 +1,12 @@
 //! The shared design database: a content-addressed characterization cache.
 //!
-//! Algorithm 3 fabric characterization dominates the flow's runtime (the
-//! `select t` column of Table 2), and it keeps redoing identical work:
-//! every instance of a module re-elaborates and re-LUT-maps the same RTL,
-//! every same-shaped cluster re-runs the same fabric sizing, and a
-//! benchmarks × configurations sweep (the `suite` binary, ARIANNA-style
-//! fabric-customization loops) repeats all of it per configuration.
+//! Elaboration, LUT mapping and Algorithm 3's fabric characterization
+//! (together the `select t` column of Table 2) keep redoing identical
+//! work: every instance of a module re-elaborates and re-LUT-maps the
+//! same RTL, every same-shaped cluster re-runs the same fabric sizing,
+//! and a benchmarks × configurations sweep (the `suite` binary,
+//! ARIANNA-style fabric-customization loops) repeats all of it per
+//! configuration.
 //!
 //! [`DesignDb`] memoizes the three expensive oracles behind
 //! **content-addressed** keys, so results are shared wherever the inputs

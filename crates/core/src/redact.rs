@@ -146,8 +146,6 @@ pub fn redact(
             fabric_mod.as_str(),
             &network,
             &chosen.efpga.packing,
-            &cfg.arch,
-            chosen.efpga.size,
         ));
         let stream = config_stream(&network, &chosen.efpga.packing);
 

@@ -6,12 +6,12 @@
 //! disjoint clusters, at most `max_efpgas` of them). The best solution is
 //! the one maximizing the summed score.
 //!
-//! Characterization is the flow's dominant cost (the `select t` column of
-//! Table 2), so it is sharded across [`AliceConfig::jobs`] scoped worker
-//! threads: module LUT-mapping first (one task per distinct module), then
-//! per-cluster merge + fabric sizing (one task per cluster). Workers pull
-//! indices from a shared counter and results are reassembled in cluster
-//! order, so the output is byte-identical for any thread count.
+//! Characterization (the `select t` column of Table 2) is sharded across
+//! [`AliceConfig::jobs`] scoped worker threads: module LUT-mapping first
+//! (one task per distinct module), then per-cluster merge + fabric sizing
+//! (one task per cluster). Workers pull indices from a shared counter and
+//! results are reassembled in cluster order, so the output is
+//! byte-identical for any thread count.
 
 use crate::cluster::Cluster;
 use crate::config::{AliceConfig, ScoreModel};

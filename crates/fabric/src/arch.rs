@@ -14,7 +14,8 @@ pub struct FabricArch {
     /// LUT input count (k). The paper fixes k = 4; a redaction needs
     /// k ≤ [`crate::emit::LE_INPUTS`].
     pub lut_inputs: u32,
-    /// Logic elements (LUT+FF pairs) per CLB. The paper fixes 4.
+    /// Logic elements (LUT+FF pairs) per CLB; at least 1. The paper
+    /// fixes 4.
     pub les_per_clb: u32,
     /// GPIO pins per I/O tile. The paper fixes 8.
     pub gpio_per_tile: u32,

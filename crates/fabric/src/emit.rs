@@ -11,7 +11,6 @@
 //! per used LE (a 4-input truth table plus the FF-bypass flag), whatever
 //! the fabric's size. [`config_stream`] is that chain's contents.
 
-use crate::arch::{FabricArch, FabricSize};
 use crate::pack::Packing;
 use alice_intern::{HierPath, Symbol};
 use alice_netlist::lutmap::{MappedNetlist, MappedSrc};
@@ -58,14 +57,7 @@ endmodule
 /// The module is named `{name}` and exposes the cluster's original ports
 /// plus `clk` (if absent) and the configuration chain
 /// (`cfg_clk`, `cfg_en`, `cfg_in`, `cfg_out`).
-pub fn fabric_netlist(
-    name: &str,
-    mapped: &MappedNetlist,
-    packing: &Packing,
-    arch: &FabricArch,
-    size: FabricSize,
-) -> String {
-    let _ = (arch, size);
+pub fn fabric_netlist(name: &str, mapped: &MappedNetlist, packing: &Packing) -> String {
     let mut v = String::new();
     let _ = writeln!(v, "module {name}(");
     let mut port_lines = vec![
@@ -277,6 +269,7 @@ pub fn config_stream(mapped: &MappedNetlist, packing: &Packing) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::FabricArch;
     use crate::pack::pack;
     use alice_netlist::elaborate::elaborate;
     use alice_netlist::lutmap::map_luts;
@@ -303,17 +296,7 @@ mod tests {
              assign y = a ^ b; endmodule",
             "m",
         );
-        let text = format!(
-            "{}{}",
-            le_primitive(),
-            fabric_netlist(
-                "m_efpga",
-                &m,
-                &p,
-                &FabricArch::default(),
-                crate::arch::FabricSize::square(2)
-            )
-        );
+        let text = format!("{}{}", le_primitive(), fabric_netlist("m_efpga", &m, &p));
         let f = parse_source(&text).expect("emitted fabric must parse");
         assert!(f.module("m_efpga").is_some());
         let fab = f.module("m_efpga").expect("exists");
@@ -328,13 +311,7 @@ mod tests {
             "module s(input wire [3:0] a, output wire y); assign y = ^a; endmodule",
             "s",
         );
-        let text = fabric_netlist(
-            "s_efpga",
-            &m,
-            &p,
-            &FabricArch::default(),
-            crate::arch::FabricSize::square(1),
-        );
+        let text = fabric_netlist("s_efpga", &m, &p);
         // The secret must not leak: the only constants allowed are 1'b0/1'b1
         // padding, never 16-bit LUT INIT values.
         assert!(!text.contains("16'h"), "truth table leaked:\n{text}");
@@ -351,12 +328,7 @@ mod tests {
         let src = "module f(input wire [3:0] a, input wire [3:0] b, output wire [3:0] y);\
                    assign y = (a & b) ^ {b[0], b[3:1]}; endmodule";
         let (m, p) = fixture(src, "f");
-        let arch = FabricArch::default();
-        let text = format!(
-            "{}{}",
-            le_primitive(),
-            fabric_netlist("f_efpga", &m, &p, &arch, crate::arch::FabricSize::square(2))
-        );
+        let text = format!("{}{}", le_primitive(), fabric_netlist("f_efpga", &m, &p));
         let file = alice_verilog::parse_source(&text).expect("parse");
         let fab = alice_netlist::elaborate::elaborate(&file, "f_efpga").expect("elab fabric");
 
@@ -422,17 +394,7 @@ mod tests {
              always @(posedge clk) q <= d ^ {d[0], d[3:1]}; endmodule",
             "r",
         );
-        let text = format!(
-            "{}{}",
-            le_primitive(),
-            fabric_netlist(
-                "r_efpga",
-                &m,
-                &p,
-                &FabricArch::default(),
-                crate::arch::FabricSize::square(2)
-            )
-        );
+        let text = format!("{}{}", le_primitive(), fabric_netlist("r_efpga", &m, &p));
         let f = parse_source(&text).expect("parse");
         let n = elaborate(&f, "r_efpga").expect("elab");
         let dff_names: std::collections::BTreeSet<Symbol> = n
@@ -467,13 +429,7 @@ mod tests {
              always @(posedge clk) q <= d; endmodule",
             "r",
         );
-        let text = fabric_netlist(
-            "r_efpga",
-            &m,
-            &p,
-            &FabricArch::default(),
-            crate::arch::FabricSize::square(1),
-        );
+        let text = fabric_netlist("r_efpga", &m, &p);
         let f = parse_source(&format!("{}{}", le_primitive(), text)).expect("parses");
         // clk must not be duplicated.
         let fab = f.module("r_efpga").expect("exists");
